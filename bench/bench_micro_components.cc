@@ -1,6 +1,5 @@
 // Micro-benchmarks of the library's hot paths (google-benchmark): event
-// queue, shaped link, TCP transfer, RTT extraction, feature computation,
-// classifier inference, pcap codec.
+// queue, shaped link, TCP transfer, classifier inference, pcap codec.
 //
 // Besides wall-clock, the simulator benches report *heap allocation*
 // counters via a global operator new/delete hook scoped to this binary.
@@ -14,10 +13,7 @@
 #include <filesystem>
 #include <new>
 
-#include "analysis/flow_trace.h"
-#include "analysis/rtt_estimator.h"
 #include "core/classifier.h"
-#include "features/extractor.h"
 #include "obs/metrics.h"
 #include "pcap/headers.h"
 #include "service/latency.h"
@@ -202,45 +198,6 @@ void BM_TcpSteadyStateAllocs(benchmark::State& state) {
   state.counters["steady_segments"] = static_cast<double>(segments);
 }
 BENCHMARK(BM_TcpSteadyStateAllocs);
-
-analysis::FlowTrace synthetic_flow(int n) {
-  analysis::FlowTrace flow;
-  flow.data_key = sim::FlowKey{1, 2, 10, 20};
-  for (int i = 0; i < n; ++i) {
-    analysis::TraceRecord d;
-    d.time = i * 100 * sim::kMicrosecond;
-    d.key = flow.data_key;
-    d.seq = 1 + 1448ull * static_cast<unsigned>(i);
-    d.payload_bytes = 1448;
-    flow.data.push_back(d);
-    analysis::TraceRecord a;
-    a.time = d.time + 20 * sim::kMillisecond;
-    a.key = flow.data_key.reversed();
-    a.ack = d.seq + 1448;
-    a.flags.ack = true;
-    flow.acks.push_back(a);
-  }
-  return flow;
-}
-
-void BM_RttExtraction(benchmark::State& state) {
-  const auto flow = synthetic_flow(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto samples = analysis::extract_rtt_samples(flow);
-    benchmark::DoNotOptimize(samples);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RttExtraction)->Arg(100)->Arg(10000);
-
-void BM_FeatureExtraction(benchmark::State& state) {
-  const auto flow = synthetic_flow(2000);
-  for (auto _ : state) {
-    auto f = features::extract_features(flow);
-    benchmark::DoNotOptimize(f);
-  }
-}
-BENCHMARK(BM_FeatureExtraction);
 
 void BM_ClassifierInference(benchmark::State& state) {
   const auto clf = CongestionClassifier::pretrained();

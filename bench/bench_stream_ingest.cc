@@ -11,9 +11,8 @@
 // `allocs_per_packet` counter is asserted == 0 by `tools/bench_micro.py
 // --smoke` (wired into ctest as bench_micro_smoke).
 // The same binary also carries the ingest *ladder*: whole-capture passes
-// over synthetic headers-only captures at 64 MB / 256 MB / 1 GB, once
-// through the PR 5 chunked-read record-at-a-time path and once through the
-// batched cursor (streamed and mmap backends). Each rung reports
+// over synthetic headers-only captures at 64 MB / 256 MB / 1 GB through
+// the batched cursor (streamed and mmap backends). Each rung reports
 // packets_per_second, gbps (capture bytes consumed per second), and
 // allocs_per_packet over a warm engine, which `tools/bench_micro.py
 // --ladder-smoke` (ctest: bench_ingest_ladder_smoke, label `perf`) holds
@@ -29,8 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/from_pcap.h"
-#include "analysis/seq_unwrap.h"
+#include "analysis/wire_record.h"
 #include "core/analyzer.h"
 #include "pcap/cursor.h"
 #include "pcap/headers.h"
@@ -280,43 +278,6 @@ stream::StreamConfig ladder_config() {
   cfg.jobs = 1;
   return cfg;
 }
-
-/// The PR 5 ingest loop, verbatim: streamed cursor, one record at a time
-/// decoded and pushed individually. The comparison baseline for the
-/// batched rungs.
-void BM_IngestChunkedRead(benchmark::State& state) {
-  const LadderCapture& cap = ladder_capture(state.range(0));
-  const FlowAnalyzer analyzer;
-  stream::StreamEngine engine(analyzer, ladder_config());
-  ladder_warm(engine, cap);
-  std::uint64_t allocs = 0, packets = 0, bytes = 0;
-  for (auto _ : state) {
-    pcap::PcapCursor cursor(cap.path, pcap::CursorMode::kStream);
-    const AllocProbe probe;
-    std::uint64_t n = 0;
-    while (const auto rec = cursor.next()) {
-      const auto w = analysis::wire_record_from_frame(rec->timestamp,
-                                                      rec->data);
-      if (!w) continue;
-      engine.push(*w);
-      ++n;
-    }
-    allocs += probe.count();
-    packets += n;
-    bytes += cap.file_bytes;
-  }
-  auto reports = engine.finish();
-  benchmark::DoNotOptimize(reports);
-  state.counters["packets_per_second"] =
-      benchmark::Counter(static_cast<double>(packets),
-                         benchmark::Counter::kIsRate);
-  state.counters["gbps"] = benchmark::Counter(
-      static_cast<double>(bytes) * 8e-9, benchmark::Counter::kIsRate);
-  state.counters["allocs_per_packet"] =
-      static_cast<double>(allocs) / static_cast<double>(packets);
-}
-BENCHMARK(BM_IngestChunkedRead)
-    ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void ladder_batched(benchmark::State& state, pcap::CursorMode mode) {
   const LadderCapture& cap = ladder_capture(state.range(0));

@@ -1,63 +1,46 @@
-// Slow-start boundary detection from the server-side trace.
+// The per-flow quantities the congestion-signature method reduces a
+// connection to: slow-start RTT samples, the slow-start boundary, and the
+// cumulative-ACK advances behind the slow-start throughput.
+// stream::FlowState computes them incrementally.
 //
 // The paper defines the slow-start period as everything up to the first
 // retransmission or fast retransmission (§2.3). From a capture, both appear
-// as a data segment whose sequence range was already transmitted.
+// as a data segment whose sequence range was already transmitted. An RTT
+// sample pairs a downstream data segment with the ACK that covers it
+// (§3.2); retransmitted ranges never produce samples (Karn's rule).
 #pragma once
 
-#include <optional>
-#include <span>
+#include <cstdint>
 
-#include "analysis/flow_trace.h"
 #include "sim/time.h"
 
 namespace ccsig::analysis {
+
+struct RttSample {
+  sim::Time at = 0;        // when the ACK arrived at the server
+  sim::Duration rtt = 0;
+  std::uint64_t acked_seq = 0;  // stream offset the sample belongs to
+};
 
 struct SlowStartInfo {
   /// Time of the first retransmitted data segment; the slow-start RTT
   /// window is [flow start, end_time).
   sim::Time end_time = 0;
   /// True when a retransmission was found; false means the flow never
-  /// retransmitted and `end_time` is the end of the trace.
+  /// retransmitted and `end_time` is the end of the flow.
   bool ended_by_retransmission = false;
   /// Unique payload bytes cumulatively ACKed by `end_time` — the basis of
   /// the slow-start throughput used for labeling.
   std::uint64_t acked_bytes = 0;
 };
 
-/// Locates the end of the first slow-start period.
-SlowStartInfo detect_slow_start(const FlowTrace& flow);
-
 /// One strict advance of the cumulative ACK: the running maximum of the
 /// ACK field increased to `ack` at `time`. The advance sequence is the
-/// sufficient statistic for slow-start throughput, so the streaming engine
-/// keeps only these (pruned) instead of every ACK record.
+/// sufficient statistic for slow-start throughput, so the engine keeps
+/// only these (pruned) instead of every ACK record.
 struct AckAdvance {
   sim::Time time = 0;
   std::uint64_t ack = 0;
 };
-
-/// Slow-start throughput from a flow's cumulative-ACK advance sequence
-/// (strictly increasing ack values in time order, truncated at the first
-/// raw ACK past `ss.end_time`). Both the batch path and the streaming
-/// engine call this with integer inputs derived identically, so the double
-/// result is bit-identical between them.
-std::optional<double> slow_start_throughput_from_advances(
-    sim::Time start, const SlowStartInfo& ss,
-    std::span<const AckAdvance> advances);
-
-/// Mean downstream throughput (bits/s) achieved during slow start, measured
-/// from cumulative ACK progress. Returns nullopt when the window is empty.
-std::optional<double> slow_start_throughput_bps(const FlowTrace& flow,
-                                                const SlowStartInfo& ss);
-
-/// Mean throughput of `acked_bytes` delivered over `duration` (bits/s);
-/// nullopt when either is zero. Scalar core of flow_throughput_bps, shared
-/// with the streaming engine.
-std::optional<double> throughput_bps(std::uint64_t acked_bytes,
-                                     sim::Duration duration);
-
-/// Whole-flow mean throughput in bits/s (acked bytes over duration).
-std::optional<double> flow_throughput_bps(const FlowTrace& flow);
 
 }  // namespace ccsig::analysis

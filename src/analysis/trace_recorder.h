@@ -1,7 +1,8 @@
-// In-memory tcpdump: a TraceSink that appends to a Trace.
+// In-memory tcpdump: a TraceSink that appends what a capture of each
+// packet would carry to a Trace.
 #pragma once
 
-#include "analysis/trace_record.h"
+#include "analysis/wire_record.h"
 #include "sim/trace.h"
 
 namespace ccsig::analysis {
@@ -9,15 +10,7 @@ namespace ccsig::analysis {
 class TraceRecorder : public sim::TraceSink {
  public:
   void on_packet(sim::Time t, const sim::Packet& p) override {
-    TraceRecord r;
-    r.time = t;
-    r.key = p.key;
-    r.seq = p.seq;
-    r.ack = p.ack;
-    r.payload_bytes = p.payload_bytes;
-    r.window = p.window;
-    r.flags = p.flags;
-    trace_.push_back(r);
+    trace_.push_back(wire_record_from_packet(t, p));
   }
 
   const Trace& trace() const { return trace_; }

@@ -2,9 +2,6 @@
 
 #include <sstream>
 
-#include "analysis/from_pcap.h"
-#include "analysis/slow_start.h"
-
 namespace ccsig {
 
 FlowReport FlowAnalyzer::report_from_extract(
@@ -26,37 +23,6 @@ FlowReport FlowAnalyzer::report_from_extract(
     }
   }
   return report;
-}
-
-FlowReport FlowAnalyzer::analyze_flow(const analysis::FlowTrace& flow,
-                                      const features::ExtractOptions& opt) const {
-  return report_from_extract(
-      flow.data_key, features::extract_features_checked(flow, opt),
-      analysis::flow_throughput_bps(flow).value_or(0.0), flow.duration(),
-      flow.data.size());
-}
-
-std::vector<FlowReport> FlowAnalyzer::analyze(
-    const analysis::Trace& trace, const features::ExtractOptions& opt) const {
-  std::vector<FlowReport> reports;
-  for (const analysis::FlowTrace& flow : analysis::split_flows(trace)) {
-    reports.push_back(analyze_flow(flow, opt));
-  }
-  return reports;
-}
-
-std::vector<FlowReport> FlowAnalyzer::analyze_pcap(
-    const std::string& path, const features::ExtractOptions& opt) const {
-  return analyze(analysis::trace_from_pcap(path), opt);
-}
-
-PcapAnalysis FlowAnalyzer::analyze_pcap_checked(
-    const std::string& path, const features::ExtractOptions& opt) const {
-  analysis::TraceReadResult raw = analysis::trace_from_pcap_checked(path);
-  PcapAnalysis out;
-  out.reports = analyze(raw.trace, opt);
-  out.error = std::move(raw.error);
-  return out;
 }
 
 std::string FlowAnalyzer::render(const FlowReport& r) {

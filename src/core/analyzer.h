@@ -6,8 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/flow_trace.h"
-#include "analysis/trace_record.h"
+#include "analysis/wire_record.h"
 #include "core/classifier.h"
 #include "features/extractor.h"
 #include "runtime/parse_error.h"
@@ -54,23 +53,22 @@ class FlowAnalyzer {
   explicit FlowAnalyzer(CongestionClassifier classifier)
       : classifier_(std::move(classifier)) {}
 
-  /// Analyzes every flow in a mixed trace.
-  std::vector<FlowReport> analyze(const analysis::Trace& trace,
-                                  const features::ExtractOptions& opt = {}) const;
-
-  /// Analyzes a single known flow.
-  FlowReport analyze_flow(const analysis::FlowTrace& flow,
-                          const features::ExtractOptions& opt = {}) const;
-
   /// Builds a FlowReport from an already-extracted feature result plus the
   /// flow-level scalars. This is the single place the classifier verdict,
-  /// insufficiency bookkeeping, and capacity estimate are assembled —
-  /// analyze_flow goes through it, and the streaming engine feeds it with
-  /// incrementally computed inputs so both paths agree byte for byte.
+  /// insufficiency bookkeeping, and capacity estimate are assembled; the
+  /// engine calls it when it finalizes a flow.
   FlowReport report_from_extract(const sim::FlowKey& data_key,
                                  features::ExtractResult extracted,
                                  double throughput_bps, sim::Duration duration,
                                  std::size_t data_packets) const;
+
+  // The entry points below run the capture through stream::StreamEngine
+  // with eviction off (every flow lives until the end of its input or its
+  // FIN handshake). They are defined in ccsig_stream, so callers link it.
+
+  /// Analyzes every flow in a live trace (wire records in tap order).
+  std::vector<FlowReport> analyze(const analysis::Trace& trace,
+                                  const features::ExtractOptions& opt = {}) const;
 
   /// Reads a tcpdump-format capture and analyzes it. Malformed input
   /// raises runtime::ParseException (file, byte offset, reason).

@@ -33,7 +33,7 @@ ExtractResult features_from_slow_start(
     return out;
   }
 
-  if (samples.size() < opt.min_rtt_samples) {
+  if (samples.empty() || samples.size() < opt.min_rtt_samples) {
     out.insufficiency = Insufficiency::kTooFewRttSamples;
     return out;
   }
@@ -79,26 +79,6 @@ ExtractResult features_from_slow_start(
   f.flow_duration = flow_duration;
   out.features = f;
   return out;
-}
-
-ExtractResult extract_features_checked(const analysis::FlowTrace& flow,
-                                       const ExtractOptions& opt) {
-  ExtractResult out;
-  if (flow.data.empty() || flow.acks.empty()) {
-    out.insufficiency = Insufficiency::kNoData;
-    return out;
-  }
-
-  const analysis::SlowStartInfo ss = analysis::detect_slow_start(flow);
-  const auto samples = analysis::extract_rtt_samples(flow, ss.end_time);
-  return features_from_slow_start(
-      samples, ss, analysis::slow_start_throughput_bps(flow, ss),
-      analysis::flow_throughput_bps(flow), flow.duration(), opt);
-}
-
-std::optional<FlowFeatures> extract_features(const analysis::FlowTrace& flow,
-                                             const ExtractOptions& opt) {
-  return extract_features_checked(flow, opt).features;
 }
 
 }  // namespace ccsig::features

@@ -1,11 +1,9 @@
-// Flow trace → congestion-signature feature vector.
+// Slow-start RTT samples → congestion-signature feature vector.
 #pragma once
 
 #include <optional>
 #include <span>
 
-#include "analysis/flow_trace.h"
-#include "analysis/rtt_estimator.h"
 #include "analysis/slow_start.h"
 #include "features/metrics.h"
 
@@ -62,26 +60,13 @@ struct ExtractResult {
   bool ok() const { return features.has_value(); }
 };
 
-/// Extracts the paper's features from a flow, or nullopt when the flow
-/// fails the validity filters (too few slow-start RTT samples, no data,
-/// optionally no retransmission).
-std::optional<FlowFeatures> extract_features(const analysis::FlowTrace& flow,
-                                             const ExtractOptions& opt = {});
-
-/// Like extract_features, but reports *why* extraction was refused, so
-/// callers can distinguish a short flow from a damaged capture and never
-/// emit a bogus congestion label for either.
-ExtractResult extract_features_checked(const analysis::FlowTrace& flow,
-                                       const ExtractOptions& opt = {});
-
-/// The final, representation-independent stage of feature extraction: from
-/// a flow's slow-start RTT samples and summary scalars to the validated
-/// feature vector. extract_features_checked calls this after materializing
-/// the samples from a FlowTrace; the streaming engine calls it with
-/// incrementally accumulated samples. Because the statistics all run over
-/// the same sample values through the same code, the two paths produce
-/// bit-identical features. Callers are responsible for the kNoData check
-/// (a flow with no data or no ack packets must not reach this far).
+/// The final stage of feature extraction: from a flow's slow-start RTT
+/// samples and summary scalars to the validated feature vector, or the
+/// reason it was refused — so callers can tell a short flow from a damaged
+/// capture and never emit a bogus congestion label for either.
+/// stream::FlowState::finalize calls it with the samples it accumulated.
+/// Callers are responsible for the kNoData check (a flow with no data or no
+/// ack packets must not reach this far).
 ExtractResult features_from_slow_start(
     std::span<const analysis::RttSample> samples,
     const analysis::SlowStartInfo& ss,

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/flow_trace.h"
 #include "analysis/trace_recorder.h"
+#include "stream/flow_state.h"
 
 namespace ccsig::mlab {
 namespace {
@@ -281,9 +281,8 @@ NdtResult PathSim::run_ndt(sim::Duration duration) {
       long_enough && result.congestion_limited_fraction >= 0.9;
 
   server_->remove_tap(&recorder);
-  const analysis::Trace trace = recorder.take();
-  const analysis::FlowTrace flow = analysis::extract_flow(trace, key);
-  result.features = features::extract_features(flow);
+  result.features =
+      stream::analyze_trace_flow(recorder.trace(), key).extracted.features;
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "pcap/cursor.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "pcap/pcap_file.h"
@@ -142,7 +143,7 @@ bool PcapCursor::parse_file_header() {
     fail("not a (little-endian, µs) pcap file: bad magic");
   }
   pos_ += sizeof(hdr);
-  snaplen_ = hdr.snaplen;
+  snaplen_ = std::min(hdr.snaplen, kMaxSnaplen);
   linktype_ = hdr.linktype;
   offset_ = sizeof(hdr);
   header_ready_ = true;
@@ -179,7 +180,7 @@ std::optional<RecordView> PcapCursor::next() {
   // A snaplen-exceeding capture length cannot have been written by any
   // sane writer; treat it as corruption rather than allocating blindly —
   // tail mode included, since no amount of waiting repairs a bad header.
-  if (rec.incl_len > snaplen_ + 65536u) {
+  if (rec.incl_len > max_record_bytes()) {
     fail("corrupt record header: incl_len " + std::to_string(rec.incl_len) +
          " exceeds snaplen " + std::to_string(snaplen_));
   }
@@ -193,9 +194,8 @@ std::optional<RecordView> PcapCursor::next() {
       incomplete_tail_ = true;
       return std::nullopt;
     }
-    // The legacy path consumed the record header before discovering the
-    // body truncation; consume it here too so the reported offset (and the
-    // "got" count) stay byte-identical for damaged non-tail captures.
+    // A truncated body is reported at the offset of the body itself (the
+    // header was read fine), with the count of body bytes that exist.
     pos_ += sizeof(rec);
     offset_ += sizeof(rec);
     fail("truncated record body (need " + std::to_string(rec.incl_len) +

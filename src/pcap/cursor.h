@@ -1,8 +1,7 @@
-// Zero-copy pcap record cursor with two input backends.
-//
-// PcapReader materializes every record into its own heap vector, which is
-// fine for batch analysis but defeats a single-pass streaming engine. The
-// cursor instead hands out spans into a window of the file:
+// Zero-copy pcap record cursor with two input backends — the one pcap
+// reader. It hands out spans into a window of the file instead of copying
+// each record, so a single-pass engine reads any capture in O(buffer)
+// memory:
 //
 //   kStream — refills one reusable buffer with large sequential reads:
 //             no per-record allocation, O(buffer) memory regardless of
@@ -17,8 +16,7 @@
 // representation — only the refill step differs — so a damaged capture
 // stops at the same byte offset with the same ParseException reason no
 // matter the backend (the property ingest_corpus_test's mmap/stream
-// differential pins down). Error semantics are in turn contractually
-// identical to PcapReader.
+// differential pins down).
 #pragma once
 
 #include <cstdint>
@@ -41,8 +39,13 @@ struct RecordView {
   std::span<const std::uint8_t> data;
 };
 
+/// libpcap's MAXIMUM_SNAPLEN. No capture tool stores larger records, so a
+/// larger header snaplen is clamped to it: a corrupt header can then never
+/// authorize a multi-gigabyte record buffer.
+inline constexpr std::uint32_t kMaxSnaplen = 262144;
+
 enum class CursorMode {
-  kStream,  // buffered sequential reads (the PR 5 path)
+  kStream,  // buffered sequential reads
   kMmap,    // map the file; throws ParseException if mapping fails
   kAuto,    // kMmap when possible, silently falling back to kStream
 };
@@ -50,7 +53,7 @@ enum class CursorMode {
 class PcapCursor {
  public:
   /// Opens and validates the file header. Throws runtime::ParseException
-  /// with the same reasons/offsets as PcapReader.
+  /// (file, byte offset, reason) on a missing or malformed file.
   ///
   /// `tail` opts into tail-past-EOF reading for a capture that is still
   /// being written (ccsigd's growing-file sources): a record whose final
@@ -85,7 +88,15 @@ class PcapCursor {
   /// fully written and validated.
   bool header_ready() const { return header_ready_; }
 
+  /// The header's snap length, clamped to libpcap's kMaxSnaplen.
   std::uint32_t snaplen() const { return snaplen_; }
+
+  /// Largest incl_len a record may claim before it counts as corruption:
+  /// the snap length plus slack for writers that overshoot it. 64-bit, so
+  /// no header value can wrap it.
+  std::uint64_t max_record_bytes() const {
+    return std::uint64_t{snaplen_} + 65536u;
+  }
   std::uint32_t linktype() const { return linktype_; }
 
   /// The backend actually in use (kAuto resolves at construction).

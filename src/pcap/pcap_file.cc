@@ -1,5 +1,6 @@
 #include "pcap/pcap_file.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -51,74 +52,6 @@ void PcapWriter::write(sim::Time timestamp,
   out_.write(reinterpret_cast<const char*>(&rec), sizeof(rec));
   out_.write(reinterpret_cast<const char*>(data.data()), incl);
   ++records_;
-}
-
-void PcapReader::fail(std::string reason) const {
-  runtime::throw_parse_error(path_, offset_, "byte", std::move(reason));
-}
-
-PcapReader::PcapReader(const std::string& path)
-    : path_(path), in_(path, std::ios::binary) {
-  if (!in_) fail("cannot open pcap for reading");
-  FileHeader hdr;
-  in_.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
-  if (!in_) {
-    fail("truncated file header (need " + std::to_string(sizeof(hdr)) +
-         " bytes, got " + std::to_string(in_.gcount()) + ")");
-  }
-  if (hdr.magic != kPcapMagic) {
-    fail("not a (little-endian, µs) pcap file: bad magic");
-  }
-  snaplen_ = hdr.snaplen;
-  linktype_ = hdr.linktype;
-  offset_ = sizeof(hdr);
-}
-
-std::optional<PcapRecord> PcapReader::next() {
-  RecordHeader rec;
-  in_.read(reinterpret_cast<char*>(&rec), sizeof(rec));
-  if (!in_) {
-    if (in_.gcount() == 0) return std::nullopt;  // clean end of file
-    fail("truncated record header (need " + std::to_string(sizeof(rec)) +
-         " bytes, got " + std::to_string(in_.gcount()) + ")");
-  }
-  // A snaplen-exceeding capture length cannot have been written by any
-  // sane writer; treat it as corruption rather than allocating blindly.
-  if (rec.incl_len > snaplen_ + 65536u) {
-    fail("corrupt record header: incl_len " + std::to_string(rec.incl_len) +
-         " exceeds snaplen " + std::to_string(snaplen_));
-  }
-  offset_ += sizeof(rec);
-  PcapRecord out;
-  out.timestamp = static_cast<sim::Time>(rec.ts_sec) * sim::kSecond +
-                  static_cast<sim::Time>(rec.ts_usec) * sim::kMicrosecond;
-  out.orig_len = rec.orig_len;
-  out.data.resize(rec.incl_len);
-  in_.read(reinterpret_cast<char*>(out.data.data()), rec.incl_len);
-  if (!in_) {
-    fail("truncated record body (need " + std::to_string(rec.incl_len) +
-         " bytes, got " + std::to_string(in_.gcount()) + ")");
-  }
-  offset_ += rec.incl_len;
-  return out;
-}
-
-std::vector<PcapRecord> read_all(const std::string& path) {
-  PcapReader reader(path);
-  std::vector<PcapRecord> records;
-  while (auto r = reader.next()) records.push_back(std::move(*r));
-  return records;
-}
-
-PcapReadResult read_all_checked(const std::string& path) {
-  PcapReadResult result;
-  try {
-    PcapReader reader(path);
-    while (auto r = reader.next()) result.records.push_back(std::move(*r));
-  } catch (const runtime::ParseException& e) {
-    result.error = e.error();
-  }
-  return result;
 }
 
 }  // namespace ccsig::pcap

@@ -2,30 +2,20 @@
 //
 // Little-endian, magic 0xa1b2c3d4, microsecond timestamps — readable by
 // tcpdump/tshark/wireshark. Only what the project needs: linktype EN10MB.
+// PcapWriter produces the files; pcap::PcapCursor (cursor.h) reads them.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "runtime/parse_error.h"
 #include "sim/time.h"
 
 namespace ccsig::pcap {
 
 inline constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;
 inline constexpr std::uint32_t kLinktypeEthernet = 1;
-
-/// One captured record: timestamp, the bytes actually stored (possibly
-/// truncated at the snap length), and the original frame length.
-struct PcapRecord {
-  sim::Time timestamp = 0;       // nanoseconds (µs precision on disk)
-  std::uint32_t orig_len = 0;    // length of the frame on the wire
-  std::vector<std::uint8_t> data;  // captured bytes (<= snaplen)
-};
 
 /// Streams records into a pcap file.
 class PcapWriter {
@@ -46,49 +36,5 @@ class PcapWriter {
   std::uint32_t snaplen_;
   std::uint64_t records_ = 0;
 };
-
-/// Reads a whole pcap file. Malformed input raises runtime::ParseException
-/// carrying (file, byte offset, reason) — still a std::runtime_error, so
-/// legacy catch sites keep working, but callers that care can recover the
-/// structured runtime::ParseError.
-class PcapReader {
- public:
-  explicit PcapReader(const std::string& path);
-
-  /// Next record, or nullopt at end of file.
-  std::optional<PcapRecord> next();
-
-  std::uint32_t snaplen() const { return snaplen_; }
-  std::uint32_t linktype() const { return linktype_; }
-
-  /// Byte offset of the next unread position (for error reporting).
-  std::uint64_t offset() const { return offset_; }
-
- private:
-  [[noreturn]] void fail(std::string reason) const;
-
-  std::string path_;
-  std::ifstream in_;
-  std::uint32_t snaplen_ = 0;
-  std::uint32_t linktype_ = 0;
-  std::uint64_t offset_ = 0;
-};
-
-/// Convenience: reads every record. Throws runtime::ParseException on
-/// malformed input.
-std::vector<PcapRecord> read_all(const std::string& path);
-
-/// Everything readable from a (possibly damaged) capture: the longest
-/// clean prefix of records, plus the structured error that stopped
-/// parsing, if any.
-struct PcapReadResult {
-  std::vector<PcapRecord> records;
-  std::optional<runtime::ParseError> error;
-  bool ok() const { return !error.has_value(); }
-};
-
-/// Non-throwing read: truncated or corrupt captures yield the good prefix
-/// and a ParseError instead of an exception.
-PcapReadResult read_all_checked(const std::string& path);
 
 }  // namespace ccsig::pcap

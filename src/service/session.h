@@ -22,7 +22,7 @@
 #include <optional>
 #include <string>
 
-#include "analysis/seq_unwrap.h"
+#include "analysis/wire_record.h"
 #include "stream/ingest.h"
 
 namespace ccsig::service {

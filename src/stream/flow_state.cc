@@ -10,7 +10,8 @@ namespace ccsig::stream {
 // ---------------------------------------------------------------------------
 
 void FlowState::Hypothesis::process_deferred(const DeferredAck& a) {
-  // Mirrors the ACK arm of extract_rtt_samples' merged walk, one step.
+  // One ACK through the sampler: sample the newest covered segment unless
+  // it was retransmitted, then retire everything the ACK covers.
   if (!a.ack_flag || a.syn) return;
   if (ss_closed && a.time > ss_end) {
     stopped = true;  // caller frees pending + remaining FIFO
@@ -49,7 +50,7 @@ void FlowState::Hypothesis::compute_ss_stats(sim::Time flow_start,
   info.acked_bytes = ss_acked_raw;
   const std::vector<analysis::AckAdvance> v(advances.begin(), advances.end());
   ss_throughput =
-      analysis::slow_start_throughput_from_advances(flow_start, info, v);
+      slow_start_throughput_from_advances(flow_start, info, v);
   std::deque<analysis::AckAdvance>().swap(advances);
 }
 
@@ -59,7 +60,7 @@ void FlowState::Hypothesis::compute_ss_stats(sim::Time flow_start,
 
 FinalizedFlow FlowState::finalize(const features::ExtractOptions& opt) {
   FinalizedFlow out;
-  if (payload_[0] == 0 && payload_[1] == 0) return out;  // split_flows drops
+  if (payload_[0] == 0 && payload_[1] == 0) return out;  // no data: no report
   out.has_payload = true;
   const int data_dir = payload_majority_dir();
   const int ack_dir = 1 - data_dir;
@@ -71,25 +72,25 @@ FinalizedFlow FlowState::finalize(const features::ExtractOptions& opt) {
   out.duration = end - start;
   out.data_packets = count_[data_dir];
 
-  // Whole-flow goodput, FlowTrace::acked_bytes convention (highest ACK − 1
-  // for the ISN-0 framing).
+  // Whole-flow goodput: highest ACK − 1 (wire sequence 0 is the SYN, so
+  // payload starts at 1).
   const std::uint64_t max_ack = max_ack_[ack_dir];
   const std::uint64_t acked = max_ack > 1 ? max_ack - 1 : 0;
   const std::optional<double> flow_tput =
-      analysis::throughput_bps(acked, out.duration);
+      throughput_bps(acked, out.duration);
   out.throughput_bps = flow_tput.value_or(0.0);
 
   Hypothesis& h = hyp_[data_dir];
   // Any ACKs still deferred can no longer tie with data (there is none
-  // left); process them — the tail of the batch merge walk.
+  // left); process them.
   h.flush_before(std::numeric_limits<sim::Time>::max());
   if (!h.ss_done) {
     // No ACK-direction record ever passed the slow-start end, so every
-    // advance was retained; close the window exactly as detect_slow_start
-    // does when no retransmission (or no later record) exists.
+    // advance was retained; close the window at the retransmission, or at
+    // the end of the flow when there was none.
     h.compute_ss_stats(start, h.ss_closed ? h.ss_end : end, h.ss_closed);
   }
-  analysis::SlowStartInfo ss;
+  analysis::SlowStartInfo& ss = out.slow_start;
   ss.end_time = h.ss_closed ? h.ss_end : end;
   ss.ended_by_retransmission = h.ss_closed;
   ss.acked_bytes = h.ss_acked_raw;
@@ -101,6 +102,52 @@ FinalizedFlow FlowState::finalize(const features::ExtractOptions& opt) {
         h.samples, ss, h.ss_throughput, flow_tput, out.duration, opt);
   }
   return out;
+}
+
+std::optional<double> slow_start_throughput_from_advances(
+    sim::Time start, const analysis::SlowStartInfo& ss,
+    std::span<const analysis::AckAdvance> advances) {
+  if (ss.end_time <= start || ss.acked_bytes == 0) return std::nullopt;
+  // Delivery rate over the SECOND HALF of the slow-start window. The whole-
+  // window mean is dragged far below link rate by the exponential ramp; by
+  // the later rounds a flow that saturates its bottleneck delivers at
+  // exactly the bottleneck rate, which is what capacity-threshold labeling
+  // needs to compare against.
+  const sim::Time mid = start + (ss.end_time - start) / 2;
+  std::uint64_t ack_mid = 0;
+  std::uint64_t ack_end = 0;
+  sim::Time last_advance = mid;
+  for (const auto& a : advances) {
+    if (a.time > ss.end_time) break;
+    if (a.ack > ack_end) {
+      ack_end = a.ack;
+      if (a.time > mid) last_advance = a.time;
+    }
+    if (a.time <= mid) ack_mid = std::max(ack_mid, a.ack);
+  }
+  // The window ends at the *last cumulative-ACK advance*: after the packet
+  // loss that terminates slow start, ACKs stall for a round trip until the
+  // retransmission; counting that stall would deflate the rate.
+  if (ack_end <= ack_mid || last_advance <= mid) return 0.0;
+  return static_cast<double>(ack_end - ack_mid) * 8.0 /
+         sim::to_seconds(last_advance - mid);
+}
+
+std::optional<double> throughput_bps(std::uint64_t acked_bytes,
+                                     sim::Duration duration) {
+  if (duration <= 0 || acked_bytes == 0) return std::nullopt;
+  return static_cast<double>(acked_bytes) * 8.0 / sim::to_seconds(duration);
+}
+
+FinalizedFlow analyze_trace_flow(std::span<const analysis::WireRecord> trace,
+                                 const sim::FlowKey& data_key,
+                                 const features::ExtractOptions& opt) {
+  const sim::FlowKey ack_key = data_key.reversed();
+  FlowState state(analysis::canonical_flow_key(data_key));
+  for (const analysis::WireRecord& w : trace) {
+    if (w.key == data_key || w.key == ack_key) state.ingest(w);
+  }
+  return state.finalize(opt);
 }
 
 }  // namespace ccsig::stream

@@ -1,37 +1,50 @@
-// Incremental per-flow analysis state for the streaming engine.
+// Per-flow analysis: the paper's method, one record at a time.
 //
-// A FlowState consumes one connection's records in capture order and
-// reproduces, field for field, what the batch pipeline computes from the
-// fully materialized FlowTrace:
+// A FlowState consumes one connection's records in capture order and, at
+// finalize, reduces them to the flow's report inputs: direction, slow-start
+// boundary, slow-start RTT samples, throughput scalars and features. This
+// is the only implementation of the method; every caller (pcap analysis,
+// live simulator traces, testbed runs, M-Lab NDT rows, the daemon) goes
+// through it. Its rules:
 //
-//   split_flows        -> per-direction payload/record/time accounting; the
-//                         data direction is decided at finalize by payload
-//                         majority, so BOTH direction hypotheses run
-//                         incrementally (the losing one is nearly free: its
-//                         "data" records carry no payload, so its pending
-//                         map and sample vector stay empty).
-//   detect_slow_start  -> first-retransmission cutoff + cumulative-ACK
-//                         bookkeeping, updated per record.
-//   extract_rtt_samples-> the merged two-pointer walk over data[] and
-//                         acks[] is emulated exactly with a deferred-ACK
-//                         FIFO: ACKs queue on arrival and are flushed once
-//                         a record with a strictly later timestamp proves
-//                         no more data can tie with them (the batch walk
-//                         processes data first on timestamp ties, even
-//                         when the ACK was captured first). The FIFO
-//                         therefore only ever holds ACKs from the flow's
-//                         single latest timestamp.
-//   slow_start_throughput_bps -> the cumulative-ACK advance sequence is
-//                         retained (pruned) and fed to the same scalar
-//                         helper, so the division happens on identical
-//                         integers.
+//   Data direction   — the side that carried more payload bytes (ties keep
+//                      the canonical direction). The majority is known only
+//                      at finalize, so BOTH direction hypotheses run from
+//                      the first record; the losing one is nearly free (its
+//                      "data" records carry no payload, so its pending map
+//                      and sample vector stay empty). A connection with no
+//                      payload in either direction yields no report.
+//   Slow start       — ends at the first data segment whose range ends at
+//                      or below the highest byte already sent (a
+//                      retransmission, partial or whole); a flow that never
+//                      retransmits is in slow start until its last record.
+//   RTT samples      — an ACK samples the newest outstanding segment it
+//                      covers (exact boundary or the highest boundary below
+//                      it), at most once per ACK; retransmitted ranges never
+//                      sample (Karn's rule); duplicate ACKs, SYNs and
+//                      flagless records sample nothing; only ACKs up to the
+//                      slow-start end count.
+//   Tie order        — a data segment and an ACK with the same timestamp
+//                      are ordered data first, whatever order the capture
+//                      wrote them in. Capture timestamps have finite
+//                      resolution (µs in classic pcap), so the true order
+//                      of same-timestamp records is unknown, and data first
+//                      is the conservative choice: an ACK sharing its
+//                      timestamp with a retransmission sees the range as
+//                      retransmitted and, by Karn's rule, does not sample
+//                      it. ACKs therefore wait in a deferred FIFO until a
+//                      record with a strictly later timestamp proves no
+//                      more data can tie with them, so the FIFO only ever
+//                      holds ACKs from the flow's single latest timestamp.
+//   Throughput       — slow-start throughput from the cumulative-ACK
+//                      advance sequence (slow_start_throughput_from_
+//                      advances); flow throughput is highest ACK − 1 over
+//                      the flow's duration.
 //
-// Equality holds for captures whose records are time-ordered (any real
-// tap; every simulator capture). Two documented divergences: a 4-tuple
-// reused after FIN/idle eviction starts a fresh flow here but is merged by
-// the batch splitter, and captures with backwards-jumping timestamps may
-// bucket ACKs differently (the batch feature extractor rejects those flows
-// as kNonMonotonicTimestamps anyway).
+// Records must arrive in capture order. On a capture whose timestamps go
+// backwards the deferred FIFO releases ACKs in arrival order, and the
+// feature extractor reports kNonMonotonicTimestamps when that reorders the
+// samples.
 //
 // Memory: O(in-flight segments + slow-start RTT samples) per flow. Once
 // the first slow-start period closes and the sampler passes its cutoff,
@@ -49,11 +62,11 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "analysis/rtt_estimator.h"
-#include "analysis/seq_unwrap.h"
 #include "analysis/slow_start.h"
+#include "analysis/wire_record.h"
 #include "features/extractor.h"
 #include "sim/packet.h"
 #include "sim/time.h"
@@ -64,12 +77,13 @@ namespace ccsig::stream {
 /// exactly once when the flow is finalized (FIN, idle, LRU, or end of
 /// capture).
 struct FinalizedFlow {
-  bool has_payload = false;  // false: batch split_flows drops it too
+  bool has_payload = false;  // false: no payload either way, no report
   sim::FlowKey data_key;
   sim::Time start_time = 0;
   sim::Duration duration = 0;
   std::size_t data_packets = 0;
   double throughput_bps = 0;
+  analysis::SlowStartInfo slow_start;
   features::ExtractResult extracted;
 };
 
@@ -111,6 +125,12 @@ class FlowState {
   /// flow never retransmitted, and extracts features. Call at most once.
   FinalizedFlow finalize(const features::ExtractOptions& opt);
 
+  /// The slow-start RTT samples of the payload-majority direction — after
+  /// finalize(), exactly the samples its features were computed from.
+  std::span<const analysis::RttSample> slow_start_samples() const {
+    return hyp_[payload_majority_dir()].samples;
+  }
+
  private:
   struct Outstanding {
     sim::Time sent_at;
@@ -128,7 +148,7 @@ class FlowState {
   struct Hypothesis {
     int data_dir = 0;
 
-    // RTT sampler (exact emulation of extract_rtt_samples' merged walk).
+    // RTT sampler.
     std::map<std::uint64_t, Outstanding> pending;  // seq_end -> info
     std::uint64_t highest_sent = 0;
     std::vector<analysis::RttSample> samples;
@@ -136,15 +156,15 @@ class FlowState {
     // reuse its capacity, so the steady state allocates nothing.
     std::vector<DeferredAck> fifo;
     std::size_t fifo_head = 0;
-    bool stopped = false;  // batch walk would have hit `break`
+    bool stopped = false;  // an ACK past the slow-start end: sampling over
 
-    // Slow-start boundary (detect_slow_start, data side).
+    // Slow-start boundary (first retransmission on the data side).
     bool ss_closed = false;
     sim::Time ss_end = 0;
 
-    // Slow-start ACK bookkeeping (detect_slow_start ack scan + the
-    // throughput advance window), updated on ACK *arrival* — the batch
-    // scans run over the raw acks vector, not the merged walk.
+    // Slow-start ACK bookkeeping (acked bytes + the throughput advance
+    // window), updated on ACK *arrival*, not through the deferred FIFO:
+    // the throughput window is a property of when ACKs reached the tap.
     std::uint64_t adv_max = 0;  // running max cumulative ACK
     std::deque<analysis::AckAdvance> advances;
     bool ss_done = false;  // ss stats computed, advances freed
@@ -164,8 +184,8 @@ class FlowState {
     return key == canonical_ ? 0 : 1;
   }
 
-  /// The data direction the batch splitter would pick right now
-  /// (`fwd_payload >= bwd_payload` keeps the canonical direction).
+  /// The data direction by payload majority so far (ties keep the
+  /// canonical direction).
   int payload_majority_dir() const {
     return payload_[0] >= payload_[1] ? 0 : 1;
   }
@@ -197,6 +217,26 @@ class FlowState {
   Hypothesis hyp_[2];
 };
 
+/// Mean downstream throughput (bits/s) over the second half of the slow-
+/// start window, from the flow's cumulative-ACK advance sequence (strictly
+/// increasing ack values in time order). Returns nullopt when the window
+/// is empty or nothing was acknowledged in it.
+std::optional<double> slow_start_throughput_from_advances(
+    sim::Time start, const analysis::SlowStartInfo& ss,
+    std::span<const analysis::AckAdvance> advances);
+
+/// Mean throughput of `acked_bytes` delivered over `duration` (bits/s);
+/// nullopt when either is zero.
+std::optional<double> throughput_bps(std::uint64_t acked_bytes,
+                                     sim::Duration duration);
+
+/// Analyzes the one connection `data_key` of a live trace: its records,
+/// both directions, go through a single FlowState in trace order, and
+/// every other flow is skipped.
+FinalizedFlow analyze_trace_flow(std::span<const analysis::WireRecord> trace,
+                                 const sim::FlowKey& data_key,
+                                 const features::ExtractOptions& opt = {});
+
 // ---------------------------------------------------------------------------
 // Hot-path definitions, inline so the streaming engine's per-record loop
 // sees through them. The cold helpers (process_deferred, compute_ss_stats,
@@ -208,8 +248,8 @@ inline void FlowState::Hypothesis::flush_before(sim::Time t) {
     process_deferred(fifo[fifo_head]);
     ++fifo_head;
     if (stopped) {
-      // The batch walk's `break`: everything still queued is discarded and
-      // nothing is retained for later records.
+      // Sampling is over: everything still queued is discarded and nothing
+      // is retained for later records.
       std::vector<DeferredAck>().swap(fifo);
       fifo_head = 0;
       pending.clear();
@@ -225,7 +265,7 @@ inline void FlowState::Hypothesis::flush_before(sim::Time t) {
 inline void FlowState::Hypothesis::on_data(const analysis::TraceRecord& r) {
   if (stopped) return;
   flush_before(r.time);
-  if (stopped) return;  // a flushed ACK hit the cutoff; batch skips the rest
+  if (stopped) return;  // a flushed ACK passed the slow-start end
   if (r.payload_bytes == 0) return;
   const std::uint64_t seq_end = r.seq + r.payload_bytes;
   const bool is_retx = seq_end <= highest_sent;
@@ -247,9 +287,8 @@ inline void FlowState::Hypothesis::on_data(const analysis::TraceRecord& r) {
 inline void FlowState::Hypothesis::on_ack(const analysis::TraceRecord& r,
                                           sim::Time flow_start) {
   // Slow-start ACK bookkeeping runs in raw arrival order with no flag
-  // filter: both batch scans (detect_slow_start's acked_bytes and the
-  // throughput advance builder) walk the acks vector directly and stop at
-  // the first record past the slow-start end.
+  // filter, and stops at the first ACK-direction record past the
+  // slow-start end.
   if (!ss_done) {
     if (ss_closed && r.time > ss_end) {
       compute_ss_stats(flow_start, ss_end, /*by_retransmission=*/true);
@@ -260,13 +299,13 @@ inline void FlowState::Hypothesis::on_ack(const analysis::TraceRecord& r,
     }
   }
   // RTT sampler: this ACK may still tie with not-yet-captured data records
-  // (which the batch walk would order first), so defer it; but any queued
-  // ACK from a strictly earlier timestamp can no longer tie with future
-  // data and is safe to process now.
+  // (which the tie-order rule puts first), so defer it; but any queued ACK
+  // from a strictly earlier timestamp can no longer tie with future data
+  // and is safe to process now.
   if (stopped) return;
   flush_before(r.time);
   if (stopped) return;
-  if (!r.flags.ack || r.flags.syn) return;  // the walk ignores these anyway
+  if (!r.flags.ack || r.flags.syn) return;  // never sample
   fifo.push_back(DeferredAck{r.time, r.ack, r.flags.ack, r.flags.syn});
 }
 

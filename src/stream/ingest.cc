@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "analysis/from_pcap.h"
 
 namespace ccsig::stream {
 namespace {
@@ -37,7 +36,7 @@ std::size_t BatchedIngest::fill(std::vector<RoutedRecord>& out,
     // position untouched, so every edge case (truncation, corruption,
     // end-of-file) is validated — and every error produced — by the same
     // code as the streamed backend. Identical offsets, identical reasons.
-    const std::uint32_t max_incl = cursor_.snaplen() + 65536u;
+    const std::uint64_t max_incl = cursor_.max_record_bytes();
     const std::span<const std::uint8_t> rest = cursor_.mapped_rest();
     const std::uint8_t* p = rest.data();
     const std::uint8_t* const end = p + rest.size();
@@ -59,7 +58,7 @@ std::size_t BatchedIngest::fill(std::vector<RoutedRecord>& out,
       p += total;
       consumed_bytes += rec.incl_len;
       ++consumed_records;
-      if (!d) continue;  // non-TCP/undecodable frame, same skip as batch
+      if (!d) continue;  // non-TCP/undecodable frame
       // Build the routed record in place: one write per field, no
       // WireRecord intermediary bouncing through the stack.
       RoutedRecord& r = out.emplace_back();
@@ -106,13 +105,13 @@ std::size_t BatchedIngest::fill(std::vector<RoutedRecord>& out,
       }
       const auto w = analysis::wire_record_from_frame(rec->timestamp,
                                                       rec->data);
-      if (!w) continue;  // non-TCP/undecodable frame, same skip as batch
+      if (!w) continue;  // non-TCP/undecodable frame
       out.push_back(route_record(*w));
       ++appended;
     }
   } catch (const runtime::ParseException& e) {
-    // Same contract as analyze_pcap_checked: keep the clean prefix (the
-    // records already appended) and surface the structured error.
+    // Keep the clean prefix (the records already appended) and surface the
+    // structured error.
     error_ = e.error();
     done_ = true;
   }

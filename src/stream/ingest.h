@@ -1,17 +1,13 @@
 // Batched zero-copy pcap ingest for the streaming engine.
 //
-// The PR 5 ingest loop pulled one record at a time through the cursor,
-// decoded it, and pushed it into the engine — three call chains and two
-// canonical-key hash computations per packet. BatchedIngest instead
-// decodes a whole chunk of records into a prefetch-friendly contiguous
-// RoutedRecord batch, computing the canonical flow key and its hash once
-// per record; the engine then routes and looks flows up with the
+// BatchedIngest decodes a whole chunk of records into a prefetch-friendly
+// contiguous RoutedRecord batch, computing the canonical flow key and its
+// hash once per record; the engine then routes and looks flows up with the
 // precomputed hash and never rehashes.
 //
-// Error semantics are exactly the cursor's (which are exactly
-// PcapReader's): on a damaged capture, fill() returns the records decoded
-// before the damage and records the structured ParseError — the clean
-// prefix is never lost to batching.
+// Error semantics are exactly the cursor's: on a damaged capture, fill()
+// returns the records decoded before the damage and records the structured
+// ParseError — the clean prefix is never lost to batching.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/flow_trace.h"
-#include "analysis/seq_unwrap.h"
+#include "analysis/wire_record.h"
 #include "pcap/cursor.h"
 #include "runtime/parse_error.h"
 #include "sim/packet.h"
@@ -74,9 +69,9 @@ class BatchedIngest {
                          bool tail = false);
 
   /// Appends up to `max_records` decoded records to `out` (which is NOT
-  /// cleared), skipping non-TCP/undecodable frames exactly as the batch
-  /// path does. Returns the number appended; 0 means end of capture or a
-  /// parse error — check error(). After an error, further calls return 0.
+  /// cleared), skipping non-TCP/undecodable frames. Returns the number
+  /// appended; 0 means end of capture or a parse error — check error().
+  /// After an error, further calls return 0.
   std::size_t fill(std::vector<RoutedRecord>& out, std::size_t max_records);
 
   /// The structured error that stopped ingest, if any. The records

@@ -6,8 +6,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "analysis/flow_trace.h"
-#include "analysis/from_pcap.h"
+#include "obs/rtt_samples.h"
 #include "obs/trace.h"
 #include "runtime/spsc_queue.h"
 #include "runtime/thread_pool.h"
@@ -363,6 +362,10 @@ void StreamEngine::finalize_flow(Shard& s, const sim::FlowKey& canonical,
   const auto it = s.flows.find(canonical);
   FinalizedFlow fin = it->second.state.finalize(cfg_.extract);
   if (fin.has_payload) {
+    if (obs::RttSampleSink* sink = obs::RttSampleSink::global()) {
+      sink->on_flow(fin.data_key, fin.start_time,
+                    it->second.state.slow_start_samples());
+    }
     FlowReport report =
         analyzer_.report_from_extract(fin.data_key, std::move(fin.extracted),
                                       fin.throughput_bps, fin.duration,
@@ -520,9 +523,9 @@ void StreamEngine::finish_ordered(std::vector<ReadyReport>& out) {
   // Workers are gone and nothing is pending, so everything queued is final.
   extract_ready(seq_next_, out);
 
-  // End-of-capture: finalize still-resident flows through the batch-shaped
-  // done list, order them with the batch comparator, and append them after
-  // every record-triggered emission under the first never-assigned seq.
+  // End-of-capture: finalize still-resident flows through the done list,
+  // order them with flow_order_less, and append them after every
+  // record-triggered emission under the first never-assigned seq.
   eoc_phase_ = true;
   StreamStats total;
   std::size_t active = 0;
@@ -593,8 +596,8 @@ PcapAnalysis analyze_pcap_stream(const std::string& path,
     if (ingest.error()) out.error = *ingest.error();
     bytes = ingest.bytes_consumed();
   } catch (const runtime::ParseException& e) {
-    // A damaged file header surfaces at open; same contract as
-    // analyze_pcap_checked — report the error, keep the (empty) prefix.
+    // A damaged file header surfaces at open: report the error, keep the
+    // (empty) prefix.
     out.error = e.error();
   }
   bytes_ctr.add(bytes);

@@ -1,11 +1,12 @@
-// Single-pass, bounded-memory streaming flow analysis.
+// Single-pass, bounded-memory flow analysis: the analysis engine.
 //
-// The batch path reads the whole capture into memory, splits it into
-// flows, and analyzes each one — O(capture) memory. StreamEngine instead
-// pushes records through a sharded flow table of incremental FlowStates
-// and emits each flow's FlowReport the moment the flow ends (FIN handshake
-// completed, idle timeout, LRU pressure, or end of capture) — O(active
-// flows) memory regardless of capture size.
+// StreamEngine pushes records through a sharded flow table of incremental
+// FlowStates (flow_state.h defines the method's rules) and emits each
+// flow's FlowReport the moment the flow ends (FIN handshake completed,
+// idle timeout, LRU pressure, or end of capture) — O(active flows) memory
+// regardless of capture size. Every analysis entry point runs on it:
+// FlowAnalyzer::analyze / analyze_pcap[_checked] (eviction off), the
+// ccsig_analyze tool, and the ccsigd service (ordered drain).
 //
 // Threading model (jobs > 1): each shard is owned by exactly one worker
 // thread — a single writer — and record batches travel from the pushing
@@ -17,13 +18,11 @@
 // Determinism contract: records are routed to a shard by the hash of their
 // canonical flow key, each shard processes its records strictly in push
 // (capture) order (its ring is FIFO and it has one consumer), and the
-// final report list is sorted with the same comparator as the batch
-// splitter. The shard count — which defines the eviction partition — is a
-// config value independent of `jobs`, so the output is byte-identical at
-// any worker count, including jobs=1 inline. On time-ordered captures it
-// is also byte-identical to FlowAnalyzer::analyze_pcap_checked (see
-// flow_state.h for the exact equivalence argument and the two documented
-// divergences).
+// final report list is sorted with flow_order_less. The shard count —
+// which defines the eviction partition — is a config value independent of
+// `jobs`, so the output is byte-identical at any worker count, including
+// jobs=1 inline. A 4-tuple reused after its FIN handshake completed (or
+// after it was evicted) starts a new flow with its own report.
 #pragma once
 
 #include <atomic>
@@ -35,7 +34,7 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/seq_unwrap.h"
+#include "analysis/wire_record.h"
 #include "core/analyzer.h"
 #include "features/extractor.h"
 #include "obs/metrics.h"
@@ -74,7 +73,7 @@ struct StreamConfig {
   /// flows are queued per shard instead of held until finish(), and
   /// drain_ready() hands them out in an order that is a pure function of
   /// the pushed record sequence — byte-identical at any `jobs`. The
-  /// batch-shaped finish() must not be used on an ordered engine (use
+  /// whole-run finish() must not be used on an ordered engine (use
   /// finish_ordered()).
   bool ordered_drain = false;
   features::ExtractOptions extract;
@@ -140,8 +139,8 @@ class StreamEngine {
   void push_batch(std::span<const RoutedRecord> batch);
 
   /// Flushes and finalizes every remaining flow and returns all reports in
-  /// batch order (flow_order_less). Call exactly once; push() must not be
-  /// called afterwards.
+  /// flow_order_less order. Call exactly once; push() must not be called
+  /// afterwards.
   std::vector<FlowReport> finish();
 
   /// Valid after finish() / finish_ordered().
@@ -212,7 +211,7 @@ class StreamEngine {
   // watermark value 0 unambiguously means "nothing processed yet".
   std::uint64_t seq_next_ = 1;
   // End-of-capture phase: workers are stopped and finalize_flow routes to
-  // the batch-shaped done list even on an ordered engine.
+  // the sorted-at-finish done list even on an ordered engine.
   bool eoc_phase_ = false;
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -236,15 +235,14 @@ class StreamEngine {
   std::vector<std::thread> workers_;
 };
 
-/// Streaming equivalent of FlowAnalyzer::analyze_pcap_checked: analyzes the
-/// longest clean record prefix of `path` in one pass and reports the parse
-/// error that stopped reading, if any. `mode` selects the capture input
-/// backend (mmap, buffered reads, or auto); the output is byte-identical
-/// across backends.
+/// Analyzes the longest clean record prefix of the capture at `path` in
+/// one pass and reports the parse error that stopped reading, if any.
+/// `mode` selects the capture input backend (mmap, buffered reads, or
+/// auto); the output is byte-identical across backends.
 PcapAnalysis analyze_pcap_stream(const std::string& path,
                                  const FlowAnalyzer& analyzer,
                                  const StreamConfig& cfg = {},
                                  pcap::CursorMode mode =
-                                     pcap::CursorMode::kStream);
+                                     pcap::CursorMode::kAuto);
 
 }  // namespace ccsig::stream

@@ -1,7 +1,7 @@
 #include "testbed/experiment.h"
 
-#include "analysis/flow_trace.h"
 #include "obs/metrics.h"
+#include "stream/flow_state.h"
 
 namespace ccsig::testbed {
 namespace {
@@ -213,8 +213,7 @@ TestResult TestbedExperiment::run() {
   record_link_run(access_down_, run_s);
 
   trace_ = recorder_->take();
-  const analysis::FlowTrace flow = analysis::extract_flow(trace_, key);
-  result.features = features::extract_features(flow);
+  result.features = stream::analyze_trace_flow(trace_, key).extracted.features;
   return result;
 }
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 
-#include "analysis/trace_record.h"
 #include "analysis/trace_recorder.h"
 #include "features/extractor.h"
 #include "sim/network.h"

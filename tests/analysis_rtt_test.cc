@@ -1,142 +1,155 @@
-#include "analysis/rtt_estimator.h"
-
+// RTT sampling rules of the flow engine (stream::FlowState): which ACK
+// samples which segment, Karn's rule, the slow-start cutoff and the
+// data-first tie order.
 #include <gtest/gtest.h>
 
-namespace ccsig::analysis {
+#include "flow_records.h"
+
+namespace ccsig {
 namespace {
 
 using sim::kMillisecond;
+using testutil::FlowRecords;
 
-FlowTrace make_flow() {
-  FlowTrace flow;
-  flow.data_key = sim::FlowKey{1, 2, 10, 20};
-  return flow;
-}
-
-void add_data(FlowTrace& flow, sim::Time t, std::uint64_t seq,
-              std::uint32_t len) {
-  TraceRecord r;
-  r.time = t;
-  r.key = flow.data_key;
-  r.seq = seq;
-  r.payload_bytes = len;
-  r.flags.ack = true;
-  flow.data.push_back(r);
-}
-
-void add_ack(FlowTrace& flow, sim::Time t, std::uint64_t ack) {
-  TraceRecord r;
-  r.time = t;
-  r.key = flow.data_key.reversed();
-  r.seq = 1;
-  r.ack = ack;
-  r.flags.ack = true;
-  flow.acks.push_back(r);
-}
-
-TEST(RttEstimator, ExactAckMatch) {
-  FlowTrace flow = make_flow();
-  add_data(flow, 0, 1, 100);
-  add_ack(flow, 20 * kMillisecond, 101);
-  const auto samples = extract_rtt_samples(flow);
+TEST(RttSampling, ExactAckMatch) {
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.ack(20 * kMillisecond, 101);
+  const auto samples = f.run().samples;
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].rtt, 20 * kMillisecond);
   EXPECT_EQ(samples[0].at, 20 * kMillisecond);
   EXPECT_EQ(samples[0].acked_seq, 101u);
 }
 
-TEST(RttEstimator, CumulativeAckSamplesNewestCoveredSegment) {
-  FlowTrace flow = make_flow();
-  add_data(flow, 0, 1, 100);
-  add_data(flow, 5 * kMillisecond, 101, 100);
-  add_ack(flow, 25 * kMillisecond, 201);  // covers both (delayed ACK)
-  const auto samples = extract_rtt_samples(flow);
+TEST(RttSampling, CumulativeAckSamplesNewestCoveredSegment) {
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.data(5 * kMillisecond, 101, 100);
+  f.ack(25 * kMillisecond, 201);  // covers both (delayed ACK)
+  const auto samples = f.run().samples;
   ASSERT_EQ(samples.size(), 1u);
   // Sample belongs to the second segment: 25 - 5 = 20 ms.
   EXPECT_EQ(samples[0].rtt, 20 * kMillisecond);
-}
-
-TEST(RttEstimator, EachAckYieldsAtMostOneSample) {
-  FlowTrace flow = make_flow();
-  for (int i = 0; i < 4; ++i) {
-    add_data(flow, i * kMillisecond, 1 + 100ull * static_cast<unsigned>(i),
-             100);
-  }
-  add_ack(flow, 30 * kMillisecond, 201);
-  add_ack(flow, 32 * kMillisecond, 401);
-  const auto samples = extract_rtt_samples(flow);
-  EXPECT_EQ(samples.size(), 2u);
-}
-
-TEST(RttEstimator, KarnExcludesRetransmittedRange) {
-  FlowTrace flow = make_flow();
-  add_data(flow, 0, 1, 100);
-  add_data(flow, 1 * kMillisecond, 101, 100);
-  add_data(flow, 50 * kMillisecond, 1, 100);  // retransmission of seq 1
-  add_ack(flow, 70 * kMillisecond, 101);      // acks the ambiguous range
-  add_ack(flow, 71 * kMillisecond, 201);      // acks the clean range
-  const auto samples = extract_rtt_samples(flow);
-  ASSERT_EQ(samples.size(), 1u);
-  // Only the never-retransmitted segment may produce a sample.
   EXPECT_EQ(samples[0].acked_seq, 201u);
-  EXPECT_EQ(samples[0].rtt, 70 * kMillisecond);
 }
 
-TEST(RttEstimator, DuplicateAcksProduceNoSamples) {
-  FlowTrace flow = make_flow();
-  add_data(flow, 0, 1, 100);
-  add_ack(flow, 20 * kMillisecond, 101);
-  add_ack(flow, 21 * kMillisecond, 101);  // dup
-  add_ack(flow, 22 * kMillisecond, 101);  // dup
-  const auto samples = extract_rtt_samples(flow);
-  EXPECT_EQ(samples.size(), 1u);
+TEST(RttSampling, AckBetweenBoundariesSamplesHighestCoveredSegment) {
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.data(5 * kMillisecond, 101, 100);
+  f.ack(25 * kMillisecond, 151);  // covers the first segment only
+  const auto samples = f.run().samples;
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].acked_seq, 101u);
+  EXPECT_EQ(samples[0].rtt, 25 * kMillisecond);
 }
 
-TEST(RttEstimator, CutoffLimitsWindow) {
-  FlowTrace flow = make_flow();
-  add_data(flow, 0, 1, 100);
-  add_data(flow, 1 * kMillisecond, 101, 100);
-  add_ack(flow, 20 * kMillisecond, 101);
-  add_ack(flow, 40 * kMillisecond, 201);
-  const auto all = extract_rtt_samples(flow);
-  EXPECT_EQ(all.size(), 2u);
-  const auto early = extract_rtt_samples(flow, 30 * kMillisecond);
-  ASSERT_EQ(early.size(), 1u);
-  EXPECT_EQ(early[0].rtt, 20 * kMillisecond);
+TEST(RttSampling, EachAckYieldsAtMostOneSample) {
+  FlowRecords f;
+  for (unsigned i = 0; i < 4; ++i) f.data(i * kMillisecond, 1 + 100 * i, 100);
+  f.ack(30 * kMillisecond, 201);
+  f.ack(32 * kMillisecond, 401);
+  EXPECT_EQ(f.run().samples.size(), 2u);
 }
 
-TEST(RttEstimator, PureControlPacketsIgnored) {
-  FlowTrace flow = make_flow();
-  TraceRecord syn;
-  syn.time = 0;
-  syn.key = flow.data_key;
-  syn.seq = 0;
-  syn.flags.syn = true;
-  flow.data.push_back(syn);
-  add_data(flow, 10 * kMillisecond, 1, 100);
-  add_ack(flow, 30 * kMillisecond, 101);
-  const auto samples = extract_rtt_samples(flow);
+TEST(RttSampling, KarnExcludesRetransmittedRange) {
+  // The retransmission of [1, 101) at 50 ms ends slow start; ACKs at that
+  // same instant still count, and the one naming the ambiguous range must
+  // not sample it.
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.data(1 * kMillisecond, 101, 100);
+  f.data(50 * kMillisecond, 1, 100);  // retransmission of seq 1
+  f.ack(50 * kMillisecond, 101);      // acks the ambiguous range
+  f.ack(50 * kMillisecond, 201);      // acks the clean range
+  const auto result = f.run();
+  ASSERT_EQ(result.samples.size(), 1u);
+  // Only the never-retransmitted segment may produce a sample.
+  EXPECT_EQ(result.samples[0].acked_seq, 201u);
+  EXPECT_EQ(result.samples[0].rtt, 49 * kMillisecond);
+  EXPECT_TRUE(result.flow.slow_start.ended_by_retransmission);
+}
+
+TEST(RttSampling, DataIsOrderedBeforeAckOnTimestampTies) {
+  // The capture wrote the ACK before the retransmission that shares its
+  // timestamp. The tie-order rule puts the data first, so the ACK sees the
+  // range as retransmitted and — Karn's rule — does not sample it.
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.data(10 * kMillisecond, 101, 100);
+  f.ack(30 * kMillisecond, 101);
+  f.data(30 * kMillisecond, 1, 100);  // retransmission, captured second
+  f.ack(30 * kMillisecond, 201);
+  const auto samples = f.run().samples;
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].acked_seq, 201u);
+  EXPECT_EQ(samples[0].rtt, 20 * kMillisecond);
+}
+
+TEST(RttSampling, DuplicateAcksProduceNoSamples) {
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.ack(20 * kMillisecond, 101);
+  f.ack(21 * kMillisecond, 101);  // dup
+  f.ack(22 * kMillisecond, 101);  // dup
+  EXPECT_EQ(f.run().samples.size(), 1u);
+}
+
+TEST(RttSampling, SlowStartEndCutsOffLaterAcks) {
+  FlowRecords all;
+  all.data(0, 1, 100);
+  all.data(1 * kMillisecond, 101, 100);
+  all.ack(20 * kMillisecond, 101);
+  all.ack(40 * kMillisecond, 201);
+  EXPECT_EQ(all.run().samples.size(), 2u);
+
+  // A retransmission at 30 ms ends slow start: the 40 ms ACK is past it.
+  FlowRecords cut;
+  cut.data(0, 1, 100);
+  cut.data(1 * kMillisecond, 101, 100);
+  cut.ack(20 * kMillisecond, 101);
+  cut.data(30 * kMillisecond, 1, 100);
+  cut.ack(40 * kMillisecond, 201);
+  const auto samples = cut.run().samples;
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].rtt, 20 * kMillisecond);
 }
 
-TEST(RttEstimator, SamplesAreTimeOrdered) {
-  FlowTrace flow = make_flow();
+TEST(RttSampling, PureControlPacketsIgnored) {
+  FlowRecords f;
+  analysis::WireRecord& syn = f.data(0, 0, 0);
+  syn.flags.syn = true;
+  syn.flags.ack = false;
+  f.data(10 * kMillisecond, 1, 100);
+  analysis::WireRecord& synack = f.ack(15 * kMillisecond, 1);
+  synack.flags.syn = true;  // SYN-ACKs never sample
+  f.ack(30 * kMillisecond, 101);
+  const auto samples = f.run().samples;
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].rtt, 20 * kMillisecond);
+}
+
+TEST(RttSampling, SamplesAreTimeOrdered) {
+  FlowRecords f;
   for (unsigned i = 0; i < 20; ++i) {
-    add_data(flow, i * kMillisecond, 1 + 100ull * i, 100);
-    add_ack(flow, (i + 15) * kMillisecond, 101 + 100ull * i);
+    f.data(i * kMillisecond, 1 + 100 * i, 100);
+    f.ack((i + 15) * kMillisecond, 101 + 100 * i);
   }
-  const auto samples = extract_rtt_samples(flow);
+  f.sort_by_time();
+  const auto samples = f.run().samples;
   ASSERT_GT(samples.size(), 1u);
   for (std::size_t i = 1; i < samples.size(); ++i) {
     EXPECT_GE(samples[i].at, samples[i - 1].at);
   }
 }
 
-TEST(RttEstimator, EmptyFlowNoSamples) {
-  const FlowTrace flow = make_flow();
-  EXPECT_TRUE(extract_rtt_samples(flow).empty());
+TEST(RttSampling, EmptyFlowNoSamples) {
+  const FlowRecords f;
+  const auto result = f.run();
+  EXPECT_TRUE(result.samples.empty());
+  EXPECT_FALSE(result.flow.has_payload);
 }
 
 }  // namespace
-}  // namespace ccsig::analysis
+}  // namespace ccsig

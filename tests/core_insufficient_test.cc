@@ -7,89 +7,118 @@
 
 #include "core/analyzer.h"
 #include "features/extractor.h"
+#include "flow_records.h"
 
 namespace ccsig {
 namespace {
 
 using features::ExtractOptions;
+using features::ExtractResult;
 using features::Insufficiency;
-using features::extract_features_checked;
 using sim::kMillisecond;
+using testutil::FlowRecords;
 
-/// A clean single-flow trace: `n` segments, each acked one base RTT plus a
-/// small ramp later. Ack times can then be damaged per test.
-analysis::FlowTrace make_flow(int n) {
-  analysis::FlowTrace flow;
-  flow.data_key = sim::FlowKey{1, 2, 10, 20};
-  sim::Time t = 0;
+/// A clean single-flow capture: `n` segments, each acked one base RTT plus
+/// a small ramp later, records in time order. Tests damage it as needed.
+FlowRecords make_flow(int n) {
+  FlowRecords f;
   for (int i = 0; i < n; ++i) {
-    analysis::TraceRecord d;
-    d.time = t;
-    d.key = flow.data_key;
-    d.seq = 1 + 100ull * static_cast<unsigned>(i);
-    d.payload_bytes = 100;
-    flow.data.push_back(d);
-
-    analysis::TraceRecord a;
-    a.time = t + (20 + 2 * i) * kMillisecond;
-    a.key = flow.data_key.reversed();
-    a.ack = d.seq + 100;
-    a.flags.ack = true;
-    flow.acks.push_back(a);
-    t += 2 * kMillisecond;
+    const sim::Time t = 2 * i * kMillisecond;
+    const auto seq = 1 + 100u * static_cast<unsigned>(i);
+    f.data(t, seq, 100);
+    f.ack(t + (20 + 2 * i) * kMillisecond, seq + 100);
   }
-  return flow;
+  f.sort_by_time();
+  return f;
 }
 
-TEST(Insufficiency, EmptyFlowIsNoData) {
-  const auto r = extract_features_checked(analysis::FlowTrace{});
+ExtractResult extract(const FlowRecords& f, const ExtractOptions& opt = {}) {
+  return f.run(opt).flow.extracted;
+}
+
+/// The one report of a single-flow capture.
+FlowReport analyze_one(const FlowRecords& f) {
+  const auto reports = FlowAnalyzer().analyze(f.records);
+  EXPECT_EQ(reports.size(), 1u);
+  return reports.empty() ? FlowReport{} : reports[0];
+}
+
+/// `n` segments each acked at the exact instant it left: RTT = 0, which a
+/// real path cannot produce — a corrupt-capture signature.
+FlowRecords zero_rtt_flow(int n) {
+  FlowRecords f;
+  for (int i = 0; i < n; ++i) {
+    const sim::Time t = 2 * i * kMillisecond;
+    const auto seq = 1 + 100u * static_cast<unsigned>(i);
+    f.data(t, seq, 100);
+    f.ack(t, seq + 100);
+  }
+  return f;
+}
+
+TEST(Insufficiency, DataWithoutAcksIsNoData) {
+  FlowRecords f;
+  for (int i = 0; i < 12; ++i) {
+    f.data(i * kMillisecond, 1 + 100u * static_cast<unsigned>(i), 100);
+  }
+  const auto r = extract(f);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.insufficiency, Insufficiency::kNoData);
+}
 
-  auto acks_only = make_flow(12);
-  acks_only.data.clear();
-  EXPECT_EQ(extract_features_checked(acks_only).insufficiency,
-            Insufficiency::kNoData);
+TEST(Insufficiency, AcksOnlyConnectionYieldsNoReport) {
+  FlowRecords f;
+  for (int i = 0; i < 12; ++i) f.ack(i * kMillisecond, 101);
+  EXPECT_FALSE(f.run().flow.has_payload);
+  EXPECT_TRUE(FlowAnalyzer().analyze(f.records).empty());
 }
 
 TEST(Insufficiency, ShortFlowIsTooFewSamples) {
-  const auto r = extract_features_checked(make_flow(5));
+  const auto r = extract(make_flow(5));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.insufficiency, Insufficiency::kTooFewRttSamples);
+}
+
+TEST(Insufficiency, NoSamplesIsTooFewEvenWithZeroMinimum) {
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.ack(1 * kMillisecond, 1);  // acknowledges nothing
+  ExtractOptions opt;
+  opt.min_rtt_samples = 0;
+  EXPECT_EQ(extract(f, opt).insufficiency, Insufficiency::kTooFewRttSamples);
 }
 
 TEST(Insufficiency, RequireRetransmissionReported) {
   ExtractOptions opt;
   opt.require_retransmission = true;
-  const auto r = extract_features_checked(make_flow(20), opt);
+  const auto r = extract(make_flow(20), opt);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.insufficiency, Insufficiency::kNoRetransmission);
 }
 
 TEST(Insufficiency, ZeroRttsFromDamagedTimestampsAreInvalid) {
-  // Every ack lands at the exact instant its data segment left: RTT = 0,
-  // which a real path cannot produce — a corrupt-capture signature.
-  auto flow = make_flow(12);
-  for (std::size_t i = 0; i < flow.acks.size(); ++i) {
-    flow.acks[i].time = flow.data[i].time;
-  }
-  const auto r = extract_features_checked(flow);
+  const auto r = extract(zero_rtt_flow(12));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.insufficiency, Insufficiency::kInvalidRtts);
 }
 
 TEST(Insufficiency, BackwardsSampleTimesAreNonMonotonic) {
-  // Two mid-stream acks swap their timestamps (the last ack keeps the
-  // latest time, so the trace end and the sample count are intact).
-  auto flow = make_flow(12);
-  std::swap(flow.acks[5].time, flow.acks[6].time);
-  const auto r = extract_features_checked(flow);
+  // Two mid-stream ACKs swap their timestamps in place: the capture now
+  // runs backwards there (the last ACK keeps the latest time, so the flow
+  // end and the sample count are intact).
+  FlowRecords f = make_flow(12);
+  std::vector<analysis::WireRecord*> acks;
+  for (auto& w : f.records) {
+    if (w.key == f.key.reversed()) acks.push_back(&w);
+  }
+  std::swap(acks[5]->time, acks[6]->time);
+  const auto r = extract(f);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.insufficiency, Insufficiency::kNonMonotonicTimestamps);
 }
 
 TEST(Insufficiency, HealthyFlowReportsNone) {
-  const auto r = extract_features_checked(make_flow(20));
+  const auto r = extract(make_flow(20));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.insufficiency, Insufficiency::kNone);
   EXPECT_EQ(r.features->rtt_samples, 20u);
@@ -104,8 +133,7 @@ TEST(Insufficiency, ReasonsHaveDistinctNames) {
 }
 
 TEST(AnalyzerVerdict, InsufficientFlowNeverGetsCongestionLabel) {
-  const FlowAnalyzer analyzer;
-  const auto report = analyzer.analyze_flow(make_flow(5));
+  const auto report = analyze_one(make_flow(5));
   EXPECT_FALSE(report.classification.has_value());
   EXPECT_FALSE(report.features.has_value());
   EXPECT_EQ(report.insufficiency, Insufficiency::kTooFewRttSamples);
@@ -117,19 +145,13 @@ TEST(AnalyzerVerdict, InsufficientFlowNeverGetsCongestionLabel) {
 }
 
 TEST(AnalyzerVerdict, DamagedRttStreamRefusedNotMislabeled) {
-  auto flow = make_flow(12);
-  for (std::size_t i = 0; i < flow.acks.size(); ++i) {
-    flow.acks[i].time = flow.data[i].time;  // impossible zero RTTs
-  }
-  const FlowAnalyzer analyzer;
-  const auto report = analyzer.analyze_flow(flow);
+  const auto report = analyze_one(zero_rtt_flow(12));
   EXPECT_EQ(report.verdict(), Verdict::kInsufficientData);
   EXPECT_EQ(report.insufficiency, Insufficiency::kInvalidRtts);
 }
 
 TEST(AnalyzerVerdict, HealthyFlowStillClassifies) {
-  const FlowAnalyzer analyzer;
-  const auto report = analyzer.analyze_flow(make_flow(30));
+  const auto report = analyze_one(make_flow(30));
   ASSERT_TRUE(report.classification.has_value());
   EXPECT_NE(report.verdict(), Verdict::kInsufficientData);
   EXPECT_EQ(report.verdict(), report.classification->verdict);

@@ -1,43 +1,37 @@
+// Feature extraction through the flow engine: validity filters and the
+// ordering of the paper's two metrics on synthetic RTT ramps.
 #include "features/extractor.h"
 
 #include <gtest/gtest.h>
+
+#include "flow_records.h"
 
 namespace ccsig::features {
 namespace {
 
 using sim::kMillisecond;
+using testutil::FlowRecords;
 
-analysis::FlowTrace synthetic_flow(int n_segments, sim::Duration base_rtt,
-                                   sim::Duration rtt_step,
-                                   bool end_with_retx = true) {
-  analysis::FlowTrace flow;
-  flow.data_key = sim::FlowKey{1, 2, 10, 20};
+/// `n_segments` segments 2 ms apart, segment i acked after base_rtt +
+/// i * rtt_step, optionally closed by a retransmission 500 ms later.
+FlowRecords synthetic_flow(int n_segments, sim::Duration base_rtt,
+                           sim::Duration rtt_step, bool end_with_retx = true) {
+  FlowRecords f;
   sim::Time t = 0;
   for (int i = 0; i < n_segments; ++i) {
-    analysis::TraceRecord d;
-    d.time = t;
-    d.key = flow.data_key;
-    d.seq = 1 + 100ull * static_cast<unsigned>(i);
-    d.payload_bytes = 100;
-    flow.data.push_back(d);
-
-    analysis::TraceRecord a;
-    a.time = t + base_rtt + i * rtt_step;
-    a.key = flow.data_key.reversed();
-    a.ack = d.seq + 100;
-    a.flags.ack = true;
-    flow.acks.push_back(a);
+    const auto seq = 1 + 100u * static_cast<unsigned>(i);
+    f.data(t, seq, 100);
+    f.ack(t + base_rtt + i * rtt_step, seq + 100);
     t += 2 * kMillisecond;
   }
-  if (end_with_retx) {
-    analysis::TraceRecord retx;
-    retx.time = t + 500 * kMillisecond;
-    retx.key = flow.data_key;
-    retx.seq = 1;
-    retx.payload_bytes = 100;
-    flow.data.push_back(retx);
-  }
-  return flow;
+  if (end_with_retx) f.data(t + 500 * kMillisecond, 1, 100);
+  f.sort_by_time();
+  return f;
+}
+
+std::optional<FlowFeatures> extract_features(const FlowRecords& f,
+                                             const ExtractOptions& opt = {}) {
+  return f.run(opt).flow.extracted.features;
 }
 
 TEST(Extractor, ProducesFeaturesForValidFlow) {
@@ -76,7 +70,7 @@ TEST(Extractor, RequireRetransmissionOption) {
 }
 
 TEST(Extractor, EmptyFlowRejected) {
-  analysis::FlowTrace flow;
+  const FlowRecords flow;
   EXPECT_FALSE(extract_features(flow).has_value());
 }
 

@@ -8,12 +8,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/from_pcap.h"
+#include "analysis/wire_record.h"
 #include "core/analyzer.h"
 #include "mlab/dispute2014.h"
 #include "mlab/tslp2017.h"
 #include "pcap/capture.h"
 #include "pcap/cursor.h"
+#include "pcap/headers.h"
 #include "pcap/pcap_file.h"
 #include "runtime/fault_injection.h"
 #include "runtime/parse_error.h"
@@ -26,6 +27,77 @@ namespace ccsig {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Walks one cursor to exhaustion, appending every record to `records` (a
+// flattened copy: timestamp, orig_len, then the body bytes). Returns the
+// ParseError that stopped the walk, if any.
+std::optional<runtime::ParseError> drain_cursor(
+    const std::string& path, pcap::CursorMode mode,
+    std::vector<std::uint64_t>* records) {
+  try {
+    pcap::PcapCursor cursor(path, mode);
+    while (const auto rec = cursor.next()) {
+      records->push_back(static_cast<std::uint64_t>(rec->timestamp));
+      records->push_back(rec->orig_len);
+      for (const std::uint8_t b : rec->data) records->push_back(b);
+    }
+  } catch (const runtime::ParseException& e) {
+    return e.error();
+  }
+  return std::nullopt;
+}
+
+/// Record count and stopping error of one cursor walk.
+struct CursorRead {
+  std::size_t records = 0;
+  std::optional<runtime::ParseError> error;
+  bool ok() const { return !error.has_value(); }
+};
+
+CursorRead read_capture(const std::string& path) {
+  CursorRead out;
+  try {
+    pcap::PcapCursor cursor(path);
+    while (cursor.next()) ++out.records;
+  } catch (const runtime::ParseException& e) {
+    out.error = e.error();
+  }
+  return out;
+}
+
+/// Rendered report lines of an analysis.
+std::vector<std::string> render_all(const PcapAnalysis& a) {
+  std::vector<std::string> out;
+  for (const FlowReport& r : a.reports) out.push_back(FlowAnalyzer::render(r));
+  return out;
+}
+
+/// The capture analyzed through every engine configuration that must not
+/// change the output — worker count and input backend — each compared with
+/// analyze_pcap_checked: same structured error, same reports.
+void expect_engine_invariant(const FlowAnalyzer& analyzer,
+                             const std::string& path) {
+  const PcapAnalysis want = analyzer.analyze_pcap_checked(path);
+  for (const unsigned jobs : {1u, 4u}) {
+    for (const auto mode :
+         {pcap::CursorMode::kStream, pcap::CursorMode::kMmap}) {
+      stream::StreamConfig cfg;
+      cfg.jobs = jobs;
+      cfg.max_active_flows = 0;
+      const PcapAnalysis got =
+          stream::analyze_pcap_stream(path, analyzer, cfg, mode);
+      SCOPED_TRACE(path + " jobs " + std::to_string(jobs) +
+                   (mode == pcap::CursorMode::kMmap ? " mmap" : " stream"));
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!want.ok()) {
+        EXPECT_EQ(got.error->file, want.error->file);
+        EXPECT_EQ(got.error->offset, want.error->offset);
+        EXPECT_EQ(got.error->reason, want.error->reason);
+      }
+      EXPECT_EQ(render_all(got), render_all(want));
+    }
+  }
+}
 
 class CorpusTest : public ::testing::Test {
  protected:
@@ -64,9 +136,9 @@ int CorpusTest::counter_ = 0;
 
 TEST_F(CorpusTest, HealthyCaptureReadsCleanAndClassifies) {
   const std::string path = write_capture();
-  const auto raw = pcap::read_all_checked(path);
+  const auto raw = read_capture(path);
   EXPECT_TRUE(raw.ok());
-  EXPECT_GT(raw.records.size(), 100u);
+  EXPECT_GT(raw.records, 100u);
 
   const FlowAnalyzer analyzer;
   const auto analysis = analyzer.analyze_pcap_checked(path);
@@ -79,15 +151,20 @@ TEST_F(CorpusTest, HealthyCaptureReadsCleanAndClassifies) {
 TEST_F(CorpusTest, TruncatedFileHeaderIsStructuredError) {
   const std::string path = write_capture();
   runtime::truncate_file(path, 10);  // mid file header
-  const auto raw = pcap::read_all_checked(path);
+  const auto raw = read_capture(path);
   ASSERT_FALSE(raw.ok());
-  EXPECT_TRUE(raw.records.empty());
+  EXPECT_EQ(raw.records, 0u);
   EXPECT_EQ(raw.error->file, path);
   EXPECT_FALSE(raw.error->reason.empty());
-  // The throwing API reports the same thing as an exception that is still
-  // a std::runtime_error for legacy catch sites.
-  EXPECT_THROW(pcap::read_all(path), runtime::ParseException);
-  EXPECT_THROW(pcap::read_all(path), std::runtime_error);
+  // The analyzer reports the same error with no flows; its throwing form
+  // raises it as an exception that is still a std::runtime_error.
+  const FlowAnalyzer analyzer;
+  const auto analysis = analyzer.analyze_pcap_checked(path);
+  ASSERT_FALSE(analysis.ok());
+  EXPECT_EQ(analysis.error->reason, raw.error->reason);
+  EXPECT_TRUE(analysis.reports.empty());
+  EXPECT_THROW(analyzer.analyze_pcap(path), runtime::ParseException);
+  EXPECT_THROW(analyzer.analyze_pcap(path), std::runtime_error);
 }
 
 TEST_F(CorpusTest, BadMagicIsStructuredError) {
@@ -97,7 +174,7 @@ TEST_F(CorpusTest, BadMagicIsStructuredError) {
     const char junk[64] = "this is not a capture";
     out.write(junk, sizeof(junk));
   }
-  const auto raw = pcap::read_all_checked(path);
+  const auto raw = read_capture(path);
   ASSERT_FALSE(raw.ok());
   EXPECT_NE(raw.error->reason.find("magic"), std::string::npos);
   EXPECT_NE(raw.error->to_string().find(path), std::string::npos);
@@ -105,11 +182,11 @@ TEST_F(CorpusTest, BadMagicIsStructuredError) {
 
 TEST_F(CorpusTest, TruncatedRecordKeepsCleanPrefix) {
   const std::string path = write_capture();
-  const auto whole = pcap::read_all(path);
+  const auto whole = read_capture(path);
   runtime::truncate_file(path, fs::file_size(path) - 7);
-  const auto raw = pcap::read_all_checked(path);
+  const auto raw = read_capture(path);
   ASSERT_FALSE(raw.ok());
-  EXPECT_EQ(raw.records.size(), whole.size() - 1);
+  EXPECT_EQ(raw.records, whole.records - 1);
   EXPECT_GT(raw.error->offset, 0u);
 
   // The analyzer sees the same prefix and still does not crash.
@@ -130,7 +207,7 @@ TEST_F(CorpusTest, MutatedPcapCorpusNeverCrashesReaders) {
   for (const auto& mutant : mutants) {
     // Damaged captures must degrade into a clean prefix + structured
     // error. Any other exception (or a crash) fails the test.
-    const auto raw = pcap::read_all_checked(mutant);
+    const auto raw = read_capture(mutant);
     if (!raw.ok()) {
       ++structured_errors;
       EXPECT_EQ(raw.error->file, mutant);
@@ -144,7 +221,7 @@ TEST_F(CorpusTest, MutatedPcapCorpusNeverCrashesReaders) {
   EXPECT_GE(structured_errors, 5);
 }
 
-TEST_F(CorpusTest, StreamingMatchesBatchOnHealthyMultiFlowCapture) {
+TEST_F(CorpusTest, HealthyMultiFlowCaptureIsEngineInvariant) {
   // Seed 3 produces a multi-flow capture (asserted below so a generator
   // change can't silently weaken the test).
   const std::string path = file("multi.pcap");
@@ -152,30 +229,19 @@ TEST_F(CorpusTest, StreamingMatchesBatchOnHealthyMultiFlowCapture) {
   EXPECT_GT(flows, 1);
 
   const FlowAnalyzer analyzer;
-  const auto batch = analyzer.analyze_pcap_checked(path);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch.reports.size(), static_cast<std::size_t>(flows));
-
-  for (const unsigned jobs : {1u, 4u}) {
-    stream::StreamConfig cfg;
-    cfg.jobs = jobs;
-    const auto streamed = stream::analyze_pcap_stream(path, analyzer, cfg);
-    ASSERT_TRUE(streamed.ok());
-    ASSERT_EQ(streamed.reports.size(), batch.reports.size());
-    for (std::size_t i = 0; i < batch.reports.size(); ++i) {
-      EXPECT_EQ(FlowAnalyzer::render(streamed.reports[i]),
-                FlowAnalyzer::render(batch.reports[i]));
-    }
-  }
+  const auto analysis = analyzer.analyze_pcap_checked(path);
+  ASSERT_TRUE(analysis.ok());
+  ASSERT_EQ(analysis.reports.size(), static_cast<std::size_t>(flows));
+  expect_engine_invariant(analyzer, path);
 }
 
-TEST_F(CorpusTest, NewCcVariantCapturesIngestIdenticallyInBatchAndStream) {
-  // One capture per PR-10 congestion-control variant. The transport is
+TEST_F(CorpusTest, CcVariantCapturesAreEngineInvariant) {
+  // One capture per newer congestion-control variant. The transport is
   // CC-agnostic, but each variant shapes different packet timing (Vegas
   // never fills the buffer, Westwood+ rides through the random drops,
-  // HyStart exits slow start early) — so each one goes through the full
-  // reader + analyzer in batch mode and through the single-pass streaming
-  // engine at two worker counts, and every rendered report must match.
+  // HyStart exits slow start early) — so each one goes through the reader
+  // and the engine at two worker counts and both input backends, and every
+  // rendered report must match.
   for (const char* cc : {"vegas", "westwood", "cubic_hystart"}) {
     const std::string path = file(std::string(cc) + ".pcap");
     // A pinch of random loss guarantees retransmission events in the
@@ -189,27 +255,18 @@ TEST_F(CorpusTest, NewCcVariantCapturesIngestIdenticallyInBatchAndStream) {
     ASSERT_TRUE(result.completed) << cc;
 
     const FlowAnalyzer analyzer;
-    const auto batch = analyzer.analyze_pcap_checked(path);
-    ASSERT_TRUE(batch.ok()) << cc;
-    ASSERT_EQ(batch.reports.size(), 1u) << cc;
-
-    for (const unsigned jobs : {1u, 4u}) {
-      stream::StreamConfig cfg;
-      cfg.jobs = jobs;
-      const auto streamed = stream::analyze_pcap_stream(path, analyzer, cfg);
-      ASSERT_TRUE(streamed.ok()) << cc;
-      ASSERT_EQ(streamed.reports.size(), 1u) << cc;
-      EXPECT_EQ(FlowAnalyzer::render(streamed.reports[0]),
-                FlowAnalyzer::render(batch.reports[0]))
-          << cc << " jobs=" << jobs;
-    }
+    const auto analysis = analyzer.analyze_pcap_checked(path);
+    ASSERT_TRUE(analysis.ok()) << cc;
+    ASSERT_EQ(analysis.reports.size(), 1u) << cc;
+    expect_engine_invariant(analyzer, path);
   }
 }
 
-TEST_F(CorpusTest, MutatedPcapCorpusNeverCrashesStreaming) {
-  // Damaged multi-flow captures through the single-pass engine: every
-  // mutant must yield the same clean prefix and the same structured error
-  // as the batch reader — never a crash or a divergent flow partition.
+TEST_F(CorpusTest, MutatedPcapCorpusIsEngineInvariant) {
+  // Damaged multi-flow captures: every mutant must yield the same clean
+  // prefix, the same structured error and the same reports at any worker
+  // count and on either backend — never a crash. (A flipped byte can make
+  // timestamps go backwards; the engine's rules are still deterministic.)
   const std::string source = file("multi_src.pcap");
   testutil::write_random_capture(/*seed=*/3, source);
   const auto mutants =
@@ -220,53 +277,94 @@ TEST_F(CorpusTest, MutatedPcapCorpusNeverCrashesStreaming) {
   const FlowAnalyzer analyzer;
   int structured_errors = 0;
   for (const auto& mutant : mutants) {
-    const auto batch = analyzer.analyze_pcap_checked(mutant);
-    for (const unsigned jobs : {1u, 4u}) {
-      stream::StreamConfig cfg;
-      cfg.jobs = jobs;
-      const auto streamed = stream::analyze_pcap_stream(mutant, analyzer, cfg);
-
-      // Identical structured error (file, offset, reason) or none at all.
-      ASSERT_EQ(streamed.ok(), batch.ok()) << mutant;
-      if (!batch.ok()) {
-        EXPECT_EQ(streamed.error->file, batch.error->file);
-        EXPECT_EQ(streamed.error->offset, batch.error->offset);
-        EXPECT_EQ(streamed.error->reason, batch.error->reason);
-      }
-
-      // The flow partition of the clean prefix is order-independent, so it
-      // must match exactly even when a flipped byte makes timestamps go
-      // backwards. (Feature values are NOT compared here: on non-monotone
-      // timestamps the two paths may legitimately diverge — the documented
-      // divergence in flow_state.h — and both report the damage as
-      // kNonMonotone insufficiency in practice.)
-      ASSERT_EQ(streamed.reports.size(), batch.reports.size()) << mutant;
-      for (std::size_t i = 0; i < batch.reports.size(); ++i) {
-        EXPECT_EQ(streamed.reports[i].data_key, batch.reports[i].data_key);
-      }
-    }
-    structured_errors += batch.ok() ? 0 : 1;
+    expect_engine_invariant(analyzer, mutant);
+    structured_errors += read_capture(mutant).ok() ? 0 : 1;
   }
   EXPECT_GE(structured_errors, 5);
 }
 
-// Walks one cursor to exhaustion, appending every record to `records` (a
-// flattened copy: timestamp, orig_len, then the body bytes). Returns the
-// ParseError that stopped the walk, if any.
-std::optional<runtime::ParseError> drain_cursor(
-    const std::string& path, pcap::CursorMode mode,
-    std::vector<std::uint64_t>* records) {
-  try {
-    pcap::PcapCursor cursor(path, mode);
-    while (const auto rec = cursor.next()) {
-      records->push_back(static_cast<std::uint64_t>(rec->timestamp));
-      records->push_back(rec->orig_len);
-      for (const std::uint8_t b : rec->data) records->push_back(b);
-    }
-  } catch (const runtime::ParseException& e) {
-    return e.error();
+/// A capture with a file header claiming `snaplen` and one record whose
+/// header claims `incl_len` but whose body holds `body` bytes.
+void write_snaplen_capture(const std::string& path, std::uint32_t snaplen,
+                           std::uint32_t incl_len, std::size_t body) {
+  std::ofstream out(path, std::ios::binary);
+  const std::uint32_t hdr[6] = {pcap::kPcapMagic, 0x00040002u, 0, 0, snaplen,
+                                pcap::kLinktypeEthernet};
+  out.write(reinterpret_cast<const char*>(hdr), sizeof(hdr));
+  const std::uint32_t rec[4] = {1, 0, incl_len, incl_len};
+  out.write(reinterpret_cast<const char*>(rec), sizeof(rec));
+  const std::vector<char> bytes(body, 0);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(CorpusTest, HugeHeaderSnaplenDoesNotWrapTheRecordBound) {
+  // snaplen + 65536 no longer fits 32 bits: the bound must not wrap and
+  // reject every record as "exceeds snaplen 4294901760".
+  const std::string path = file("huge_snaplen.pcap");
+  {
+    pcap::PcapWriter writer(path, pcap::kFrameHeaderBytes);
+    sim::Packet p;
+    p.key = sim::FlowKey{1, 2, 10, 20};
+    p.payload_bytes = 100;
+    writer.write(0, pcap::encode_frame(p), 154);
   }
-  return std::nullopt;
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(16);  // header snaplen field
+    const std::uint32_t snaplen = 0xFFFF0000u;
+    f.write(reinterpret_cast<const char*>(&snaplen), sizeof(snaplen));
+  }
+  for (const auto mode :
+       {pcap::CursorMode::kStream, pcap::CursorMode::kMmap}) {
+    pcap::PcapCursor cursor(path, mode);
+    EXPECT_EQ(cursor.snaplen(), pcap::kMaxSnaplen);
+    const auto rec = cursor.next();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->data.size(), pcap::kFrameHeaderBytes);
+    EXPECT_FALSE(cursor.next().has_value());
+  }
+  const auto analysis = FlowAnalyzer().analyze_pcap_checked(path);
+  EXPECT_TRUE(analysis.ok());
+  EXPECT_EQ(analysis.reports.size(), 1u);
+}
+
+TEST_F(CorpusTest, CorruptLargeSnaplenCannotAuthorizeAHugeBuffer) {
+  // A header snaplen near 4 GB once let a 3.75 GB incl_len through the
+  // bound, and the buffered backend resized to it before noticing the
+  // short body. Clamped to libpcap's maximum, the record is corruption.
+  const std::string path = file("corrupt_snaplen.pcap");
+  write_snaplen_capture(path, 0xFFFE0000u, 0xF0000000u, 64);
+  const std::string want =
+      "corrupt record header: incl_len 4026531840 exceeds snaplen " +
+      std::to_string(pcap::kMaxSnaplen);
+  for (const bool tail : {false, true}) {
+    for (const auto mode :
+         {pcap::CursorMode::kStream, pcap::CursorMode::kMmap}) {
+      try {
+        pcap::PcapCursor cursor(path, mode, tail);
+        cursor.next();
+        ADD_FAILURE() << "expected a ParseException";
+      } catch (const runtime::ParseException& e) {
+        EXPECT_EQ(e.error().offset, 24u);
+        EXPECT_EQ(e.error().reason, want);
+      }
+    }
+  }
+  const auto analysis = FlowAnalyzer().analyze_pcap_checked(path);
+  ASSERT_FALSE(analysis.ok());
+  EXPECT_EQ(analysis.error->reason, want);
+
+  // A record within the clamped bound but longer than the file is a
+  // truncated body, not an allocation of the claimed size.
+  write_snaplen_capture(path, 0xFFFE0000u, pcap::kMaxSnaplen, 64);
+  pcap::PcapCursor cursor(path, pcap::CursorMode::kStream);
+  try {
+    cursor.next();
+    ADD_FAILURE() << "expected a ParseException";
+  } catch (const runtime::ParseException& e) {
+    EXPECT_EQ(e.error().reason, "truncated record body (need 262144 bytes, "
+                                "got 64)");
+  }
 }
 
 TEST_F(CorpusTest, MmapAndStreamedCursorsAreByteAndErrorIdentical) {
@@ -320,7 +418,7 @@ TEST_F(CorpusTest, BatchedIngestMatchesRecordAtATimeDecoding) {
   inputs.insert(inputs.end(), mutants.begin(), mutants.end());
 
   for (const std::string& input : inputs) {
-    // Reference: the PR 5 one-record-at-a-time loop.
+    // Reference: the one-record-at-a-time cursor + decode loop.
     std::vector<stream::RoutedRecord> want;
     std::optional<runtime::ParseError> want_err;
     try {

@@ -1,4 +1,6 @@
-#include "pcap/pcap_file.h"
+// PcapWriter → PcapCursor round trips, and the cursor's structured
+// rejection of files it cannot read.
+#include "pcap/cursor.h"
 
 #include <gtest/gtest.h>
 
@@ -6,8 +8,17 @@
 #include <filesystem>
 #include <fstream>
 
+#include "pcap/pcap_file.h"
+#include "runtime/parse_error.h"
+
 namespace ccsig::pcap {
 namespace {
+
+struct Record {
+  sim::Time timestamp = 0;
+  std::uint32_t orig_len = 0;
+  std::vector<std::uint8_t> data;
+};
 
 class PcapFileTest : public ::testing::Test {
  protected:
@@ -21,6 +32,28 @@ class PcapFileTest : public ::testing::Test {
             ".pcap";
   }
   void TearDown() override { std::filesystem::remove(path_); }
+
+  /// Every record of the file, copied out of the cursor's window.
+  std::vector<Record> read_all(CursorMode mode = CursorMode::kStream) const {
+    std::vector<Record> out;
+    PcapCursor cursor(path_, mode);
+    while (const auto rec = cursor.next()) {
+      out.push_back(Record{rec->timestamp, rec->orig_len,
+                           {rec->data.begin(), rec->data.end()}});
+    }
+    return out;
+  }
+
+  /// The structured error reading the whole file raises.
+  runtime::ParseError read_error(CursorMode mode = CursorMode::kStream) const {
+    try {
+      read_all(mode);
+    } catch (const runtime::ParseException& e) {
+      return e.error();
+    }
+    ADD_FAILURE() << "expected a ParseException";
+    return {};
+  }
 
   static int counter_;
   std::string path_;
@@ -37,12 +70,14 @@ TEST_F(PcapFileTest, WriteReadRoundTrip) {
     writer.write(2 * sim::kSecond, b, 3);
     EXPECT_EQ(writer.records_written(), 2u);
   }
-  const auto records = read_all(path_);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].timestamp, 1 * sim::kSecond + 500 * sim::kMicrosecond);
-  EXPECT_EQ(records[0].data, (std::vector<std::uint8_t>{1, 2, 3, 4}));
-  EXPECT_EQ(records[0].orig_len, 4u);
-  EXPECT_EQ(records[1].data, (std::vector<std::uint8_t>{9, 8, 7}));
+  for (const CursorMode mode : {CursorMode::kStream, CursorMode::kMmap}) {
+    const auto records = read_all(mode);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].timestamp, 1 * sim::kSecond + 500 * sim::kMicrosecond);
+    EXPECT_EQ(records[0].data, (std::vector<std::uint8_t>{1, 2, 3, 4}));
+    EXPECT_EQ(records[0].orig_len, 4u);
+    EXPECT_EQ(records[1].data, (std::vector<std::uint8_t>{9, 8, 7}));
+  }
 }
 
 TEST_F(PcapFileTest, SnaplenTruncatesButKeepsOrigLen) {
@@ -51,7 +86,7 @@ TEST_F(PcapFileTest, SnaplenTruncatesButKeepsOrigLen) {
     const std::uint8_t data[] = {1, 2, 3, 4, 5};
     writer.write(0, data, 5);
   }
-  const auto records = read_all(path_);
+  const auto records = read_all();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].data.size(), 2u);
   EXPECT_EQ(records[0].orig_len, 5u);
@@ -59,10 +94,10 @@ TEST_F(PcapFileTest, SnaplenTruncatesButKeepsOrigLen) {
 
 TEST_F(PcapFileTest, HeaderFieldsSurvive) {
   { PcapWriter writer(path_, 96); }
-  PcapReader reader(path_);
-  EXPECT_EQ(reader.snaplen(), 96u);
-  EXPECT_EQ(reader.linktype(), kLinktypeEthernet);
-  EXPECT_FALSE(reader.next().has_value());  // empty file
+  PcapCursor cursor(path_);
+  EXPECT_EQ(cursor.snaplen(), 96u);
+  EXPECT_EQ(cursor.linktype(), kLinktypeEthernet);
+  EXPECT_FALSE(cursor.next().has_value());  // empty file
 }
 
 TEST_F(PcapFileTest, MicrosecondPrecisionOnDisk) {
@@ -72,7 +107,7 @@ TEST_F(PcapFileTest, MicrosecondPrecisionOnDisk) {
     // Nanoseconds below 1 µs are truncated by the classic format.
     writer.write(123 * sim::kMicrosecond + 789, d, 1);
   }
-  const auto records = read_all(path_);
+  const auto records = read_all();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].timestamp, 123 * sim::kMicrosecond);
 }
@@ -83,7 +118,21 @@ TEST_F(PcapFileTest, RejectsBadMagic) {
     const char junk[32] = "not a pcap file at all";
     out.write(junk, sizeof(junk));
   }
-  EXPECT_THROW(PcapReader reader(path_), std::runtime_error);
+  for (const CursorMode mode : {CursorMode::kStream, CursorMode::kMmap}) {
+    const auto e = read_error(mode);
+    EXPECT_EQ(e.file, path_);
+    EXPECT_EQ(e.offset, 0u);
+    EXPECT_EQ(e.reason, "not a (little-endian, µs) pcap file: bad magic");
+  }
+}
+
+TEST_F(PcapFileTest, RejectsTruncatedFileHeader) {
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out.write("\xd4\xc3\xb2\xa1", 4);
+  }
+  EXPECT_EQ(read_error().reason,
+            "truncated file header (need 24 bytes, got 4)");
 }
 
 TEST_F(PcapFileTest, RejectsTruncatedRecord) {
@@ -92,16 +141,45 @@ TEST_F(PcapFileTest, RejectsTruncatedRecord) {
     const std::uint8_t d[] = {1, 2, 3, 4};
     writer.write(0, d, 4);
   }
-  // Chop the last 2 bytes off.
+  // Chop the last 2 bytes off: the body is short.
   const auto size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, size - 2);
-  PcapReader reader(path_);
-  EXPECT_THROW((void)reader.next(), std::runtime_error);
+  for (const CursorMode mode : {CursorMode::kStream, CursorMode::kMmap}) {
+    const auto e = read_error(mode);
+    EXPECT_EQ(e.offset, 24u + 16u);  // at the body, after its header
+    EXPECT_EQ(e.reason, "truncated record body (need 4 bytes, got 2)");
+  }
+  // Chop into the record header itself.
+  std::filesystem::resize_file(path_, 24 + 10);
+  const auto e = read_error();
+  EXPECT_EQ(e.offset, 24u);
+  EXPECT_EQ(e.reason, "truncated record header (need 16 bytes, got 10)");
+}
+
+TEST_F(PcapFileTest, RejectsRecordLongerThanSnaplen) {
+  {
+    PcapWriter writer(path_, /*snaplen=*/100);
+    const std::uint8_t d[4] = {};
+    writer.write(0, d, 4);
+  }
+  // Patch incl_len (record header bytes 8..11) to snaplen + 65536 + 1.
+  {
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(24 + 8);
+    const std::uint32_t incl = 100 + 65536 + 1;
+    f.write(reinterpret_cast<const char*>(&incl), sizeof(incl));
+  }
+  EXPECT_EQ(read_error().reason,
+            "corrupt record header: incl_len 65637 exceeds snaplen 100");
 }
 
 TEST_F(PcapFileTest, MissingFileThrows) {
-  EXPECT_THROW(PcapReader reader("/nonexistent/dir/x.pcap"),
-               std::runtime_error);
+  try {
+    PcapCursor cursor("/nonexistent/dir/x.pcap");
+    FAIL() << "expected a ParseException";
+  } catch (const runtime::ParseException& e) {
+    EXPECT_EQ(e.error().reason, "cannot open pcap for reading");
+  }
   EXPECT_THROW(PcapWriter writer("/nonexistent/dir/x.pcap"),
                std::runtime_error);
 }
@@ -116,7 +194,7 @@ TEST_F(PcapFileTest, ManyRecordsStress) {
       writer.write(i * sim::kMicrosecond, d, 8);
     }
   }
-  const auto records = read_all(path_);
+  const auto records = read_all();
   ASSERT_EQ(records.size(), static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(records[static_cast<std::size_t>(i)].data[0], i & 0xFF);

@@ -26,7 +26,7 @@ set(tests
   ml_presort_equivalence_test
   mlab_rowstore_test
   stream_flow_table_test
-  stream_vs_batch_test
+  stream_corpus_golden_test
   pcap_tail_test
   service_fault_test
   service_admin_test
@@ -64,9 +64,9 @@ endif()
 # Undefined behaviour must fail the test, not just print.
 set(ENV{UBSAN_OPTIONS} "halt_on_error=1:print_stacktrace=1")
 set(ENV{ASAN_OPTIONS} "detect_leaks=0")
-# The stream/batch differential corpus is 8x slower under the sanitizers;
-# a 25-trace corpus keeps this run under the timeout while still covering
-# multi-flow and multi-jobs cases.
+# The stream corpus golden is 8x slower under the sanitizers; a 25-trace
+# prefix keeps this run under the timeout while still covering multi-flow
+# and multi-jobs cases.
 set(ENV{CCSIG_STREAM_DIFF_COUNT} "25")
 
 list(JOIN tests "|" test_regex)

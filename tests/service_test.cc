@@ -1,5 +1,5 @@
 // ClassificationService end-to-end: oneshot runs over generated captures
-// produce the same verdict set as the batch analyzer at any --jobs (and
+// produce the same verdict set as FlowAnalyzer at any --jobs (and
 // byte-identical logs between jobs counts), the verdict log survives torn
 // tails, the shed ladder counts every shed, SIGHUP-style reloads swap or
 // reject models without downtime, and a SIGTERMed ccsigd child drains
@@ -90,8 +90,8 @@ TEST_F(ServiceTest, OneshotMatchesBatchVerdictsAndIsJobsInvariant) {
   ASSERT_FALSE(b1.empty());
   EXPECT_EQ(b1, b4);
 
-  // Same verdict *set* as the batch analyzer (the service emits flows as
-  // they finalize, so only the ordering may differ from batch order).
+  // Same verdict *set* as FlowAnalyzer (the service emits flows as they
+  // finalize, so only the ordering may differ from start-time order).
   FlowAnalyzer analyzer;
   const auto reports = analyzer.analyze_pcap(capture_);
   std::vector<std::string> want;

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/seq_unwrap.h"
+#include "analysis/wire_record.h"
 #include "core/analyzer.h"
 #include "obs/metrics.h"
 #include "sim/time.h"
@@ -179,11 +179,10 @@ TEST(StreamFlowTable, TupleReusedAfterFinStartsFreshFlow) {
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(reports[0].data_key, k);
   EXPECT_EQ(reports[1].data_key, k);
-  // Reports are in batch (start-time) order: the first incarnation first,
-  // and neither flow absorbed the other's packets. (data_packets counts
-  // every data-direction record — segment, FIN, and the final ack of the
-  // peer's FIN for the first incarnation, matching flow.data.size() in the
-  // batch splitter.)
+  // Reports are in start-time order: the first incarnation first, and
+  // neither flow absorbed the other's packets. (data_packets counts every
+  // data-direction record — segment, FIN, and the final ack of the peer's
+  // FIN for the first incarnation.)
   EXPECT_EQ(reports[0].data_packets, 3u);
   EXPECT_EQ(reports[1].data_packets, 1u);
   EXPECT_LT(reports[0].duration, sim::kSecond);

@@ -7,11 +7,9 @@
 #include <functional>
 #include <set>
 
-#include "analysis/flow_trace.h"
-#include "analysis/slow_start.h"
 #include "analysis/trace_recorder.h"
-#include "analysis/rtt_estimator.h"
 #include "sim/network.h"
+#include "stream/flow_state.h"
 #include "tcp/tcp_sink.h"
 #include "tcp/tcp_source.h"
 
@@ -226,9 +224,8 @@ TEST(TcpRecovery, TraceShowsRetransmissionForAnalysis) {
   source.start();
   net.sim().run_until(sim::from_seconds(30));
 
-  const auto flow = analysis::extract_flow(recorder.trace(), key);
-  const auto ss = analysis::detect_slow_start(flow);
-  EXPECT_TRUE(ss.ended_by_retransmission);
+  const auto flow = stream::analyze_trace_flow(recorder.trace(), key);
+  EXPECT_TRUE(flow.slow_start.ended_by_retransmission);
 }
 
 }  // namespace

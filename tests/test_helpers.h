@@ -1,7 +1,7 @@
 // Shared fixtures for integration-style tests: a minimal two-node network
 // with one shaped bottleneck link, plus helpers to run TCP transfers on it,
 // a shared quick testbed configuration, and a seeded random multi-flow
-// capture generator for differential (stream vs batch) testing.
+// capture generator.
 #pragma once
 
 #include <cstdint>

@@ -67,12 +67,10 @@ COUNTER_BOUNDS = {
 # still catching structural regressions (a per-record allocation, an
 # accidental O(n^2), losing the fused mmap path).
 LADDER_FLOORS = {
-    "BM_IngestChunkedRead/64": {"packets_per_second": 1.0e6},
     "BM_IngestMmapBatched/64": {"packets_per_second": 2.0e6},
 }
 
 LADDER_PREFIXES = (
-    "BM_IngestChunkedRead",
     "BM_IngestStreamBatched",
     "BM_IngestMmapBatched",
 )

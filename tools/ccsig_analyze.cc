@@ -4,66 +4,122 @@
 //   ccsig_analyze <capture.pcap> [--model FILE] [--min-samples N] [--verbose]
 //                 [--metrics-out FILE] [--metrics-prom FILE]
 //                 [--trace-out FILE] [--flow-telemetry FILE]
-//                 [--stream] [--mmap] [--jobs N] [--shards N] [--max-flows N]
+//                 [--jobs N] [--shards N] [--max-flows N]
 //                 [--idle-timeout SECONDS]
 //
 // Prints one line per TCP flow found in the capture: throughput, the
 // slow-start congestion signature, and the classifier's verdict.
 //
-// --stream analyzes the capture in a single pass with bounded memory
-// (src/stream/): same output, byte for byte, as the default batch path on
-// time-ordered captures. --mmap reads the capture through the zero-copy
-// mmap backend (pcap::CursorMode::kMmap; implies --stream, output-
-// identical to the buffered reader). --jobs sets worker threads
-// (output-invariant),
-// --shards/--max-flows/--idle-timeout control the flow table's eviction
-// policy (these CAN change the output by evicting long-lived flows early).
+// The capture is analyzed in a single pass with the stream engine
+// (src/stream/), reading through the mmap backend where the platform
+// supports it. Without --shards/--max-flows/--idle-timeout the output is
+// exactly FlowAnalyzer::analyze_pcap_checked's. --jobs sets worker threads
+// (output-invariant); --shards/--max-flows/--idle-timeout turn on the flow
+// table's eviction policy (these CAN change the output by evicting
+// long-lived flows early).
 //
 // Observability side files (see src/obs/): --metrics-out writes the final
 // metrics snapshot JSON, --metrics-prom the same snapshot in Prometheus
 // text exposition format, --trace-out writes Chrome trace JSON, and
-// --flow-telemetry writes one CSV row per RTT sample of every flow in the
-// capture (flow index, ports, ACK arrival time, RTT, acked offset).
+// --flow-telemetry writes one CSV row per slow-start RTT sample each
+// flow's verdict was computed from (flow index, ports, ACK arrival time,
+// RTT, acked offset).
 //
 // Exit codes: 0 success, 1 no classifiable flows, 2 usage error,
 // 3 unreadable or malformed input, 4 internal error.
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ios>
+#include <limits>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "analysis/flow_trace.h"
-#include "analysis/from_pcap.h"
-#include "analysis/rtt_estimator.h"
+#include "analysis/wire_record.h"
 #include "core/ccsig.h"
+#include "obs/rtt_samples.h"
 #include "obs/tool_obs.h"
-#include "pcap/cursor.h"
-#include "stream/stream.h"
 #include "obs/trace.h"
+#include "pcap/cursor.h"
 #include "runtime/atomic_file.h"
 #include "runtime/parse_error.h"
+#include "stream/stream.h"
 
 namespace {
 
-/// Renders every flow's RTT sample series as one CSV (times and RTTs in
-/// seconds, repo-wide precision-17 convention).
-std::string rtt_telemetry_csv(const std::vector<ccsig::analysis::FlowTrace>&
-                                  flows) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "flow,src_port,dst_port,time_s,rtt_s,acked_seq\n";
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    for (const auto& s : ccsig::analysis::extract_rtt_samples(flows[i])) {
-      out << i << ',' << flows[i].data_key.src_port << ','
-          << flows[i].data_key.dst_port << ',' << ccsig::sim::to_seconds(s.at)
-          << ',' << ccsig::sim::to_seconds(s.rtt) << ',' << s.acked_seq
-          << '\n';
-    }
-  }
-  return out.str();
+/// Parses a non-negative decimal integer no larger than `max`; rejects
+/// signs, garbage and overflow.
+bool parse_count(const char* text, unsigned long long max,
+                 unsigned long long& out) {
+  if (text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v > max) return false;
+  out = v;
+  return true;
 }
+
+/// Parses a finite, non-negative number of seconds.
+bool parse_seconds(const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v) ||
+      v < 0) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+/// Collects each finalized flow's slow-start RTT samples from the engine
+/// (possibly from several worker threads) for the --flow-telemetry CSV.
+class TelemetrySink : public ccsig::obs::RttSampleSink {
+ public:
+  void on_flow(const ccsig::sim::FlowKey& data_key, ccsig::sim::Time start,
+               std::span<const ccsig::analysis::RttSample> samples) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    flows_.push_back(Flow{data_key, start, {samples.begin(), samples.end()}});
+  }
+
+  std::size_t flows() const { return flows_.size(); }
+
+  /// One CSV over every flow, indexed in report order (times and RTTs in
+  /// seconds, repo-wide precision-17 convention).
+  std::string csv() {
+    std::sort(flows_.begin(), flows_.end(), [](const Flow& a, const Flow& b) {
+      return ccsig::analysis::flow_order_less(a.start, a.key, b.start, b.key);
+    });
+    std::ostringstream out;
+    out.precision(17);
+    out << "flow,src_port,dst_port,time_s,rtt_s,acked_seq\n";
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+      for (const auto& s : flows_[i].samples) {
+        out << i << ',' << flows_[i].key.src_port << ','
+            << flows_[i].key.dst_port << ',' << ccsig::sim::to_seconds(s.at)
+            << ',' << ccsig::sim::to_seconds(s.rtt) << ',' << s.acked_seq
+            << '\n';
+      }
+    }
+    return out.str();
+  }
+
+ private:
+  struct Flow {
+    ccsig::sim::FlowKey key;
+    ccsig::sim::Time start;
+    std::vector<ccsig::analysis::RttSample> samples;
+  };
+  std::mutex mu_;
+  std::vector<Flow> flows_;
+};
 
 }  // namespace
 
@@ -76,59 +132,73 @@ int main(int argc, char** argv) {
   std::string telemetry_path;
   ccsig::features::ExtractOptions extract;
   bool verbose = false;
-  bool use_stream = false;
-  ccsig::pcap::CursorMode cursor_mode = ccsig::pcap::CursorMode::kStream;
+  // Whole-capture analysis (analyze_pcap_checked's settings) unless an
+  // eviction flag says otherwise.
   ccsig::stream::StreamConfig stream_cfg;
+  stream_cfg.max_active_flows = 0;
+
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s <capture.pcap> [--model FILE] "
+                 "[--min-samples N] [--verbose] [--metrics-out FILE] "
+                 "[--metrics-prom FILE] "
+                 "[--trace-out FILE] [--flow-telemetry FILE] "
+                 "[--jobs N] [--shards N] [--max-flows N] "
+                 "[--idle-timeout SECONDS]\n",
+                 argv[0]);
+    return 2;
+  };
+  const auto bad_value = [&](const char* flag, const char* value) {
+    std::fprintf(stderr, "%s: invalid value '%s'\n", flag, value);
+    return 2;
+  };
+  constexpr unsigned long long kMaxUint =
+      std::numeric_limits<unsigned>::max();
+  constexpr unsigned long long kMaxSize =
+      std::numeric_limits<std::size_t>::max();
+  constexpr double kMaxIdleSeconds = 1e9;  // keeps the ns value in range
 
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--model") == 0 && i + 1 < argc) {
+    const char* flag = argv[i];
+    const bool has_value = i + 1 < argc;
+    unsigned long long n = 0;
+    double secs = 0;
+    if (std::strcmp(flag, "--model") == 0 && has_value) {
       model_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-samples") == 0 && i + 1 < argc) {
-      extract.min_rtt_samples =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
+    } else if (std::strcmp(flag, "--min-samples") == 0 && has_value) {
+      if (!parse_count(argv[++i], kMaxSize, n)) return bad_value(flag, argv[i]);
+      extract.min_rtt_samples = n;
+    } else if (std::strcmp(flag, "--verbose") == 0) {
       verbose = true;
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      use_stream = true;
-    } else if (std::strcmp(argv[i], "--mmap") == 0) {
-      use_stream = true;
-      cursor_mode = ccsig::pcap::CursorMode::kMmap;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      stream_cfg.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      stream_cfg.shards = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-flows") == 0 && i + 1 < argc) {
-      stream_cfg.max_active_flows =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--idle-timeout") == 0 && i + 1 < argc) {
-      stream_cfg.idle_timeout =
-          ccsig::sim::from_seconds(std::atof(argv[++i]));
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--jobs") == 0 && has_value) {
+      if (!parse_count(argv[++i], kMaxUint, n)) return bad_value(flag, argv[i]);
+      stream_cfg.jobs = static_cast<unsigned>(n);
+    } else if (std::strcmp(flag, "--shards") == 0 && has_value) {
+      if (!parse_count(argv[++i], kMaxUint, n)) return bad_value(flag, argv[i]);
+      stream_cfg.shards = static_cast<unsigned>(n);
+    } else if (std::strcmp(flag, "--max-flows") == 0 && has_value) {
+      if (!parse_count(argv[++i], kMaxSize, n)) return bad_value(flag, argv[i]);
+      stream_cfg.max_active_flows = n;
+    } else if (std::strcmp(flag, "--idle-timeout") == 0 && has_value) {
+      if (!parse_seconds(argv[++i], secs) || secs > kMaxIdleSeconds) {
+        return bad_value(flag, argv[i]);
+      }
+      stream_cfg.idle_timeout = ccsig::sim::from_seconds(secs);
+    } else if (std::strcmp(flag, "--metrics-out") == 0 && has_value) {
       metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-prom") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--metrics-prom") == 0 && has_value) {
       metrics_prom_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--trace-out") == 0 && has_value) {
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--flow-telemetry") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--flow-telemetry") == 0 && has_value) {
       telemetry_path = argv[++i];
-    } else if (argv[i][0] != '-' && pcap_path.empty()) {
-      pcap_path = argv[i];
+    } else if (flag[0] != '-' && pcap_path.empty()) {
+      pcap_path = flag;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s <capture.pcap> [--model FILE] "
-                   "[--min-samples N] [--verbose] [--metrics-out FILE] "
-                   "[--metrics-prom FILE] "
-                   "[--trace-out FILE] [--flow-telemetry FILE] [--stream] "
-                   "[--mmap] [--jobs N] [--shards N] [--max-flows N] "
-                   "[--idle-timeout SECONDS]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
-  if (pcap_path.empty()) {
-    std::fprintf(stderr, "usage: %s <capture.pcap> [--model FILE]\n", argv[0]);
-    return 2;
-  }
+  if (pcap_path.empty()) return usage();
 
   try {
     ccsig::obs::ToolObs tool_obs(metrics_path, trace_path, "ccsig_analyze",
@@ -150,21 +220,20 @@ int main(int argc, char** argv) {
                   analyzer.classifier().describe().c_str());
     }
     stream_cfg.extract = extract;
-    const auto analysis =
-        use_stream
-            ? ccsig::stream::analyze_pcap_stream(pcap_path, analyzer,
-                                                 stream_cfg, cursor_mode)
-            : analyzer.analyze_pcap_checked(pcap_path, extract);
+    // Installed for the analysis pass only: the engine hands each
+    // finalized flow's slow-start samples to it.
+    TelemetrySink telemetry;
     if (!telemetry_path.empty()) {
-      // Decoded separately from the analyzer pass: the reports keep only
-      // features, while telemetry wants the raw per-ACK RTT series.
+      ccsig::obs::RttSampleSink::install_global(&telemetry);
+    }
+    const auto analysis = ccsig::stream::analyze_pcap_stream(
+        pcap_path, analyzer, stream_cfg, ccsig::pcap::CursorMode::kAuto);
+    if (!telemetry_path.empty()) {
+      ccsig::obs::RttSampleSink::install_global(nullptr);
       ccsig::obs::TraceSpan span("analyze.flow_telemetry", "analyze");
-      const auto decoded = ccsig::analysis::trace_from_pcap_checked(pcap_path);
-      const auto flows = ccsig::analysis::split_flows(decoded.trace);
-      ccsig::runtime::write_file_atomic(telemetry_path,
-                                        rtt_telemetry_csv(flows));
+      ccsig::runtime::write_file_atomic(telemetry_path, telemetry.csv());
       std::fprintf(stderr, "flow telemetry written to %s (%zu flows)\n",
-                   telemetry_path.c_str(), flows.size());
+                   telemetry_path.c_str(), telemetry.flows());
     }
     if (analysis.error) {
       std::fprintf(stderr, "error: %s\n",
