@@ -46,14 +46,16 @@ struct TraceRecord {
   sim::TcpFlags flags;
 };
 
-/// Decodes one captured frame's headers into a WireRecord. Returns nullopt
-/// for frames that are not TCP/IPv4, which analysis skips. Inline because
-/// it runs once per record on the ingest fast path.
-inline std::optional<WireRecord> wire_record_from_frame(
-    sim::Time timestamp, std::span<const std::uint8_t> frame) {
+/// Decodes one captured frame's headers into `w` in place — the one
+/// frame → WireRecord mapping. Returns false (leaving `w` partly written)
+/// for frames that are not TCP/IPv4, which analysis skips. In place and
+/// inline because it runs once per record on the ingest fast path, where
+/// the batch slot is the destination.
+inline bool decode_wire_record(sim::Time timestamp,
+                               std::span<const std::uint8_t> frame,
+                               WireRecord& w) {
   const auto decoded = pcap::decode_frame(frame);
-  if (!decoded) return std::nullopt;
-  WireRecord w;
+  if (!decoded) return false;
   w.time = timestamp;
   w.key.src_addr = decoded->src_ip & 0x00FFFFFFu;
   w.key.dst_addr = decoded->dst_ip & 0x00FFFFFFu;
@@ -67,6 +69,14 @@ inline std::optional<WireRecord> wire_record_from_frame(
   w.flags.ack = decoded->ack;
   w.flags.fin = decoded->fin;
   w.flags.rst = decoded->rst;
+  return true;
+}
+
+/// decode_wire_record by value: nullopt for frames that are not TCP/IPv4.
+inline std::optional<WireRecord> wire_record_from_frame(
+    sim::Time timestamp, std::span<const std::uint8_t> frame) {
+  WireRecord w;
+  if (!decode_wire_record(timestamp, frame, w)) return std::nullopt;
   return w;
 }
 

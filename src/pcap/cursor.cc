@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "pcap/pcap_file.h"
 #include "runtime/parse_error.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -17,32 +16,12 @@
 namespace ccsig::pcap {
 namespace {
 
-// Mirrors the (packed, little-endian) on-disk structs in pcap_file.cc.
-struct FileHeader {
-  std::uint32_t magic;
-  std::uint16_t version_major;
-  std::uint16_t version_minor;
-  std::int32_t thiszone;
-  std::uint32_t sigfigs;
-  std::uint32_t snaplen;
-  std::uint32_t linktype;
-};
-static_assert(sizeof(FileHeader) == 24);
-
-struct RecordHeader {
-  std::uint32_t ts_sec;
-  std::uint32_t ts_usec;
-  std::uint32_t incl_len;
-  std::uint32_t orig_len;
-};
-static_assert(sizeof(RecordHeader) == 16);
-
 constexpr std::size_t kChunkBytes = 256 * 1024;
 
 }  // namespace
 
 void PcapCursor::fail(std::string reason) const {
-  runtime::throw_parse_error(path_, offset_, "byte", std::move(reason));
+  runtime::throw_parse_error(path_, offset(), "byte", std::move(reason));
 }
 
 bool PcapCursor::try_mmap() {
@@ -98,6 +77,7 @@ std::size_t PcapCursor::ensure(std::size_t need) {
   if (pos_ > 0) {
     std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
     end_ -= pos_;
+    window_offset_ += pos_;
     pos_ = 0;
   }
   // A record larger than the buffer (legal: snaplen-sized bodies) forces a
@@ -145,21 +125,17 @@ bool PcapCursor::parse_file_header() {
   pos_ += sizeof(hdr);
   snaplen_ = std::min(hdr.snaplen, kMaxSnaplen);
   linktype_ = hdr.linktype;
-  offset_ = sizeof(hdr);
   header_ready_ = true;
   return true;
 }
 
-void PcapCursor::retry_reads() {
-  if (!eof_) return;
-  eof_ = false;
-  in_.clear();
-}
-
-std::optional<RecordView> PcapCursor::next() {
+std::optional<RecordView> PcapCursor::next_slow() {
   if (tail_) {
     incomplete_tail_ = false;
-    retry_reads();
+    // Clear the eof/failbit state a short read left, so ensure() reads
+    // the (possibly grown) file again.
+    eof_ = false;
+    in_.clear();
     if (!header_ready_ && !parse_file_header()) {
       incomplete_tail_ = true;
       return std::nullopt;
@@ -197,21 +173,11 @@ std::optional<RecordView> PcapCursor::next() {
     // A truncated body is reported at the offset of the body itself (the
     // header was read fine), with the count of body bytes that exist.
     pos_ += sizeof(rec);
-    offset_ += sizeof(rec);
     fail("truncated record body (need " + std::to_string(rec.incl_len) +
          " bytes, got " + std::to_string(avail - sizeof(rec)) + ")");
   }
-  pos_ += sizeof(rec);
-  offset_ += sizeof(rec);
-  RecordView view;
-  view.timestamp = static_cast<sim::Time>(rec.ts_sec) * sim::kSecond +
-                   static_cast<sim::Time>(rec.ts_usec) * sim::kMicrosecond;
-  view.orig_len = rec.orig_len;
-  view.data =
-      std::span<const std::uint8_t>(window() + pos_, rec.incl_len);
-  pos_ += rec.incl_len;
-  offset_ += rec.incl_len;
-  return view;
+  // The whole record is windowed and valid now: the fast path takes it.
+  return next();
 }
 
 }  // namespace ccsig::pcap

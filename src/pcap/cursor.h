@@ -12,20 +12,26 @@
 //             valid until the cursor is destroyed.
 //   kAuto   — kMmap when the platform and file support it, else kStream.
 //
-// Both backends run the *same* validation code over the same windowed
-// representation — only the refill step differs — so a damaged capture
-// stops at the same byte offset with the same ParseException reason no
-// matter the backend (the property ingest_corpus_test's mmap/stream
-// differential pins down).
+// Both backends run the *same* code over the same windowed representation
+// — only the refill step differs. next() is one record loop in two parts:
+// an inline fast path that hands out a record whose header and whole body
+// are already windowed and pass the size check, and an out-of-line slow
+// path for everything else (refill, truncation, corruption, an incomplete
+// tail, a file header still being written). Every error therefore comes
+// from the slow path, so a damaged capture stops at the same byte offset
+// with the same ParseException reason no matter the backend (the property
+// ingest_corpus_test's mmap/stream differential pins down).
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "pcap/pcap_file.h"
 #include "sim/time.h"
 
 namespace ccsig::pcap {
@@ -75,7 +81,34 @@ class PcapCursor {
   /// an incomplete tail (see incomplete_tail() to distinguish). The
   /// returned view is valid until the next call (kStream) or until
   /// destruction (kMmap).
-  std::optional<RecordView> next();
+  std::optional<RecordView> next() {
+    // Fast path: a clean record already whole in the window. The file
+    // header is parsed (always, outside tail mode), the record fits the
+    // size bound, and its body is windowed; nothing here can fail.
+    const std::size_t avail = end_ - pos_;
+    if (header_ready_ && avail >= sizeof(RecordHeader)) {
+      const std::uint8_t* p = window() + pos_;
+      RecordHeader rec;
+      std::memcpy(&rec, p, sizeof(rec));
+      const std::size_t total = sizeof(rec) + std::size_t{rec.incl_len};
+      if (rec.incl_len <= max_record_bytes() && avail >= total) {
+#if defined(__GNUC__) || defined(__clang__)
+        // The next record's header: in kMmap mode a page the kernel may
+        // not have faulted in yet; in kStream mode hot buffer memory.
+        __builtin_prefetch(p + total);
+#endif
+        // incomplete_tail_ is already false: only the slow path sets it,
+        // when the window lacks a whole record, and only the slow path
+        // grows the window.
+        pos_ += total;
+        return RecordView{
+            static_cast<sim::Time>(rec.ts_sec) * sim::kSecond +
+                static_cast<sim::Time>(rec.ts_usec) * sim::kMicrosecond,
+            rec.orig_len, {p + sizeof(rec), rec.incl_len}};
+      }
+    }
+    return next_slow();
+  }
 
   bool tail() const { return tail_; }
 
@@ -104,41 +137,20 @@ class PcapCursor {
                                               : CursorMode::kStream; }
 
   /// Byte offset of the next unread position (for error reporting).
-  std::uint64_t offset() const { return offset_; }
-
-  // -- Fused-reader interface (kMmap only) ---------------------------------
-  // BatchedIngest's fast path walks the mapping directly and parses record
-  // headers inline, consuming clean records without the per-record call
-  // into next(). Anything that is not a provably clean, complete record is
-  // NOT consumed this way: the fused reader leaves the cursor position
-  // untouched and calls next(), so every validation failure is produced by
-  // the one canonical code path (identical offsets and reasons).
-
-  /// Remaining unconsumed bytes of the mapping, or an empty span when the
-  /// cursor is not in kMmap mode.
-  std::span<const std::uint8_t> mapped_rest() const {
-    if (!mmap_base_) return {};
-    return {mmap_base_ + pos_, end_ - pos_};
-  }
-
-  /// Consumes `n` bytes previously obtained via mapped_rest(). Only valid
-  /// for whole clean records the fused reader has fully validated.
-  void consume_mapped(std::size_t n) {
-    pos_ += n;
-    offset_ += n;
-  }
+  std::uint64_t offset() const { return window_offset_ + pos_; }
 
  private:
   [[noreturn]] void fail(std::string reason) const;
+
+  /// next()'s out-of-line part: refills the window and validates,
+  /// producing every error, incomplete tail and end of file. A record it
+  /// finds whole and valid it hands back to the fast path.
+  std::optional<RecordView> next_slow();
 
   /// Parses the 24-byte file header once enough bytes exist. Returns false
   /// (tail mode only) when the header is still incomplete; throws on a bad
   /// magic or, in non-tail mode, on truncation.
   bool parse_file_header();
-
-  /// Tail mode: clears the eof/failbit state left by a short read so the
-  /// next ensure() call re-attempts reads on the (possibly grown) file.
-  void retry_reads();
 
   /// Ensures at least `need` contiguous unconsumed bytes are windowed, or
   /// as many as the file still has. Returns the available byte count. In
@@ -163,7 +175,7 @@ class PcapCursor {
   std::size_t mmap_len_ = 0;
   std::uint32_t snaplen_ = 0;
   std::uint32_t linktype_ = 0;
-  std::uint64_t offset_ = 0;
+  std::uint64_t window_offset_ = 0;  // file offset of the window's byte 0
   bool tail_ = false;
   bool incomplete_tail_ = false;
   bool header_ready_ = false;

@@ -17,6 +17,29 @@ namespace ccsig::pcap {
 inline constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;
 inline constexpr std::uint32_t kLinktypeEthernet = 1;
 
+// The on-disk structures, shared by the writer and the cursor. They are
+// little-endian and every platform the project targets is too, so a plain
+// memcpy of the packed fields is byte-exact. (A big-endian port would need
+// byte swapping where these are copied and nowhere else.)
+struct FileHeader {
+  std::uint32_t magic;
+  std::uint16_t version_major;
+  std::uint16_t version_minor;
+  std::int32_t thiszone;
+  std::uint32_t sigfigs;
+  std::uint32_t snaplen;
+  std::uint32_t linktype;
+};
+static_assert(sizeof(FileHeader) == 24);
+
+struct RecordHeader {
+  std::uint32_t ts_sec;
+  std::uint32_t ts_usec;
+  std::uint32_t incl_len;
+  std::uint32_t orig_len;
+};
+static_assert(sizeof(RecordHeader) == 16);
+
 /// Streams records into a pcap file.
 class PcapWriter {
  public:

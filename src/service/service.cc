@@ -101,28 +101,28 @@ int ClassificationService::run() {
   const int rc = setup();
   if (rc != kExitOk) return rc;
 
-  stream::StreamConfig scfg = cfg_.stream;
-  scfg.ordered_drain = true;
   // The engine's own analyzer only matters for the features it computes;
   // the service re-classifies every emission with the current (possibly
   // hot-reloaded) model on the control thread, so a reload never races the
   // workers.
   FlowAnalyzer analyzer{classifier_};
-  stream::StreamEngine engine(analyzer, scfg);
-
-  start_ = std::chrono::steady_clock::now();
-  last_metrics_ = start_;
-  engine_ = &engine;
-  start_ns_ = clock_ns();
-  last_window_ns_ = 0;
-  if (cfg_.events) {
-    cfg_.events->log("started",
-                     {{"mode", replay_ ? "replay" : "live"},
-                      {"sources", std::to_string(sources_.size())},
-                      {"jobs", std::to_string(scfg.jobs)},
-                      {"resume_skip", std::to_string(resume_skip_)}});
-  }
   try {
+    // Constructed inside the try: an engine that cannot be built (a shard
+    // count past StreamConfig::kMaxShards, an allocation failure) is an
+    // internal error with an exit code, not a terminate().
+    stream::StreamEngine engine(analyzer, cfg_.stream);
+    start_ = std::chrono::steady_clock::now();
+    last_metrics_ = start_;
+    engine_ = &engine;
+    start_ns_ = clock_ns();
+    last_window_ns_ = 0;
+    if (cfg_.events) {
+      cfg_.events->log("started",
+                       {{"mode", replay_ ? "replay" : "live"},
+                        {"sources", std::to_string(sources_.size())},
+                        {"jobs", std::to_string(cfg_.stream.jobs)},
+                        {"resume_skip", std::to_string(resume_skip_)}});
+    }
     if (replay_) {
       run_replay(engine);
     } else {
@@ -151,11 +151,7 @@ void ClassificationService::run_live(stream::StreamEngine& engine) {
         reload_.exchange(false, std::memory_order_acq_rel)) {
       do_reload();
     }
-    if (server_) server_->accept_pending();
-    if (admin_) {
-      admin_->accept_pending();
-      admin_->serve_pending();
-    }
+    serve_sockets();
 
     bool any = false;
     for (auto& src : sources_) {
@@ -198,25 +194,11 @@ void ClassificationService::run_live(stream::StreamEngine& engine) {
       if (recorder_) {
         for (const auto& r : batch) recorder_->record(r.w);
       }
-      // Stamp the batch with the service clock on its way into the
-      // engine: the stamp rides each RoutedRecord through the shard and
-      // comes back on the emission it triggers, where emit() turns it
-      // into the ingest->verdict latency histogram. The first stamp also
-      // anchors the capture clock's epoch.
-      const std::int64_t ingest_now = clock_ns();
-      latency_.on_ingest(ingest_now, batch.front().w.time);
-      for (auto& r : batch) r.ingest_ns = ingest_now;
-      engine.push_batch(batch);
-      stats_.records_ingested += got;
-      records_ctr_.add(got);
+      push_stamped(engine, batch);
     }
     note_source_transitions();
 
-    ready.clear();
-    engine.drain_ready(ready);
-    emit(ready);
-    maybe_metrics_line(engine);
-    maybe_window_tick(engine);
+    drain_ready(engine, ready);
 
     if (cfg_.oneshot && !any) {
       bool all_terminal = true;
@@ -240,27 +222,11 @@ void ClassificationService::run_replay(stream::StreamEngine& engine) {
   std::vector<stream::ReadyReport> ready;
   batch.reserve(cfg_.poll_records);
 
-  auto flush_batch = [&] {
-    if (batch.empty()) return;
-    const std::int64_t ingest_now = clock_ns();
-    latency_.on_ingest(ingest_now, batch.front().w.time);
-    for (auto& r : batch) r.ingest_ns = ingest_now;
-    engine.push_batch(batch);
-    stats_.records_ingested += batch.size();
-    records_ctr_.add(batch.size());
-    batch.clear();
-  };
-
   bool done = false;
   while (!done) {
     if (stopping()) break;
-    if (server_) server_->accept_pending();
-    if (admin_) {
-      admin_->accept_pending();
-      admin_->serve_pending();
-    }
+    serve_sockets();
 
-    batch.clear();
     while (batch.size() < cfg_.poll_records) {
       const std::optional<SessionEntry> e = replay_->next();
       if (!e) {
@@ -271,7 +237,7 @@ void ClassificationService::run_replay(stream::StreamEngine& engine) {
           static_cast<std::uint8_t>(stream::RoutedKind::kEvictOldest)) {
         // The evict command sat between records in the live push order;
         // flush what precedes it so the replayed position is identical.
-        flush_batch();
+        push_stamped(engine, batch);
         engine.push_force_evict(e->shard);
         ++stats_.shed_forced_evicts;
         evicts_ctr_.inc();
@@ -279,19 +245,49 @@ void ClassificationService::run_replay(stream::StreamEngine& engine) {
         batch.push_back(stream::route_record(e->w));
       }
     }
-    flush_batch();
+    push_stamped(engine, batch);
 
-    ready.clear();
-    engine.drain_ready(ready);
-    emit(ready);
-    maybe_metrics_line(engine);
-    maybe_window_tick(engine);
+    drain_ready(engine, ready);
 
     if (cfg_.replay_pace_us > 0) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(cfg_.replay_pace_us));
     }
   }
+}
+
+void ClassificationService::serve_sockets() {
+  if (server_) server_->accept_pending();
+  if (admin_) {
+    admin_->accept_pending();
+    admin_->serve_pending();
+  }
+}
+
+void ClassificationService::push_stamped(
+    stream::StreamEngine& engine, std::vector<stream::RoutedRecord>& batch) {
+  if (batch.empty()) return;
+  // Stamp the batch with the service clock on its way into the engine:
+  // the stamp rides each RoutedRecord through the shard and comes back on
+  // the emission it triggers, where emit() turns it into the
+  // ingest->verdict latency histogram. The first stamp also anchors the
+  // capture clock's epoch.
+  const std::int64_t ingest_now = clock_ns();
+  latency_.on_ingest(ingest_now, batch.front().w.time);
+  for (auto& r : batch) r.ingest_ns = ingest_now;
+  engine.push_batch(batch);
+  stats_.records_ingested += batch.size();
+  records_ctr_.add(batch.size());
+  batch.clear();
+}
+
+void ClassificationService::drain_ready(
+    stream::StreamEngine& engine, std::vector<stream::ReadyReport>& ready) {
+  ready.clear();
+  engine.drain_ready(ready);
+  emit(ready);
+  maybe_metrics_line(engine);
+  maybe_window_tick(engine);
 }
 
 void ClassificationService::emit(

@@ -1,7 +1,7 @@
 // ClassificationService — the engine room of the ccsigd daemon.
 //
 // One control thread owns the whole loop: poll every supervised source,
-// apply the shed ladder, push survivors into an ordered-drain StreamEngine
+// apply the shed ladder, push survivors into a StreamEngine
 // (optionally recording them to a session file), drain deterministic
 // verdict emissions, classify each with the hot-swappable model, and fan
 // the rendered lines out to the crash-safe verdict log and the optional
@@ -61,7 +61,7 @@ inline runtime::RetryPolicy default_source_retry() {
 
 struct ServiceConfig {
   std::vector<SourceConfig> sources;
-  /// Engine shape; `ordered_drain` is forced on by the service.
+  /// Engine shape.
   stream::StreamConfig stream;
   /// Required: the crash-safe framed verdict log (recovered, then appended).
   std::string verdict_log_path;
@@ -156,6 +156,11 @@ class ClassificationService {
   void run_live(stream::StreamEngine& engine);
   void run_replay(stream::StreamEngine& engine);
   void drain(stream::StreamEngine& engine);
+  void serve_sockets();
+  void push_stamped(stream::StreamEngine& engine,
+                    std::vector<stream::RoutedRecord>& batch);
+  void drain_ready(stream::StreamEngine& engine,
+                   std::vector<stream::ReadyReport>& ready);
   void emit(const std::vector<stream::ReadyReport>& ready);
   void do_reload();
   double pressure(const stream::StreamEngine& engine) const;

@@ -7,8 +7,8 @@
 // part of the session, exactly like they were never captured) is appended
 // in push order, interleaved with the force-evict commands the shed ladder
 // injected and the shard each targeted. Replaying the file re-pushes the
-// identical sequence, and because the engine's ordered-drain emission
-// order is a pure function of that sequence, the replayed verdict log is
+// identical sequence, and because the engine's emission order is a pure
+// function of that sequence, the replayed verdict log is
 // byte-identical to the live one at any `--jobs`.
 //
 // Format: 16-byte header (magic "CCSIGSES", u32 version, u32 entry size)

@@ -50,11 +50,16 @@ struct RoutedRecord {
 
 static_assert(std::is_trivially_copyable_v<RoutedRecord>);
 
+/// Computes `r`'s canonical key and hash from its wire record, in place.
+inline void route_in_place(RoutedRecord& r) {
+  r.canonical = analysis::canonical_flow_key(r.w.key);
+  r.hash = sim::FlowKeyHash{}(r.canonical);
+}
+
 inline RoutedRecord route_record(const analysis::WireRecord& w) {
   RoutedRecord r;
   r.w = w;
-  r.canonical = analysis::canonical_flow_key(w.key);
-  r.hash = sim::FlowKeyHash{}(r.canonical);
+  route_in_place(r);
   return r;
 }
 
@@ -81,7 +86,6 @@ class BatchedIngest {
   /// Raw capture bytes consumed so far (record bodies).
   std::uint64_t bytes_consumed() const { return bytes_; }
   std::uint64_t records_decoded() const { return records_; }
-  pcap::CursorMode mode() const { return cursor_.mode(); }
 
   /// True once the capture has genuinely ended (clean EOF in non-tail
   /// mode, or a parse error in either mode). A tail-mode fill() that

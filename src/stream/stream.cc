@@ -4,6 +4,7 @@
 #include <chrono>
 #include <list>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/rtt_samples.h"
@@ -14,6 +15,18 @@
 
 namespace ccsig::stream {
 namespace {
+
+/// Batch buffers in circulation per shard when jobs > 1: one being filled
+/// by the producer, the rest queued or draining. Bounded, so a slow shard
+/// backpressures the pusher instead of growing a queue; the fill fraction
+/// of the fullest shard is what pressure() reports.
+constexpr std::size_t kBatchesPerShard = 4;
+
+/// flow_order_less over emitted reports.
+bool flow_order_less_ready(const ReadyReport& a, const ReadyReport& b) {
+  return analysis::flow_order_less(a.start, a.report.data_key, b.start,
+                                   b.report.data_key);
+}
 
 /// Heterogeneous lookup key carrying the hash computed at decode time, so
 /// the per-record flow-table probe never rehashes the FlowKey.
@@ -46,15 +59,13 @@ struct FlowEq {
 }  // namespace
 
 struct StreamEngine::Shard {
-  explicit Shard(std::size_t batches) : inbox(batches), recycle(batches) {}
-
   // Single-writer discipline: exactly one worker thread owns this shard
   // and is the only consumer of `inbox` / producer of `recycle`; the
   // pushing thread is the only producer of `inbox` / consumer of
   // `recycle`. Both edges are therefore strictly SPSC and the flow table
   // below needs no lock at all.
-  runtime::SpscQueue<std::vector<RoutedRecord>*> inbox;
-  runtime::SpscQueue<std::vector<RoutedRecord>*> recycle;
+  runtime::SpscQueue<std::vector<RoutedRecord>*> inbox{kBatchesPerShard};
+  runtime::SpscQueue<std::vector<RoutedRecord>*> recycle{kBatchesPerShard};
 
   struct Entry {
     explicit Entry(const sim::FlowKey& canonical) : state(canonical) {}
@@ -73,12 +84,6 @@ struct StreamEngine::Shard {
   Entry* hot = nullptr;
   sim::FlowKey hot_key;
 
-  struct Done {
-    sim::Time start;
-    FlowReport report;
-  };
-  std::vector<Done> done;
-
   StreamStats tally;
   std::size_t peak = 0;
 
@@ -87,7 +92,7 @@ struct StreamEngine::Shard {
   // read it without touching `flows`.
   std::atomic<std::size_t> resident{0};
 
-  // -- Ordered-drain state (cfg.ordered_drain only) ------------------------
+  // -- Emission state -------------------------------------------------------
   // Emission position of the record currently being processed; worker-owned
   // scratch, set by process_record before any finalize it triggers.
   std::uint64_t cur_seq = 0;
@@ -113,6 +118,9 @@ struct StreamEngine::Shard {
 
 StreamEngine::StreamEngine(const FlowAnalyzer& analyzer, StreamConfig cfg)
     : analyzer_(analyzer), cfg_(cfg) {
+  if (cfg_.shards > StreamConfig::kMaxShards) {
+    throw std::invalid_argument("stream engine: shards > kMaxShards");
+  }
   nshards_ = cfg_.shards > 0 ? cfg_.shards : StreamConfig::kDefaultShards;
   // hash % nshards is a hardware divide on the per-record path; the
   // default shard count is a power of two, where it is a mask.
@@ -120,10 +128,9 @@ StreamEngine::StreamEngine(const FlowAnalyzer& analyzer, StreamConfig cfg)
   if (cfg_.max_active_flows > 0) {
     per_shard_cap_ = std::max<std::size_t>(1, cfg_.max_active_flows / nshards_);
   }
-  batches_per_shard_ = std::max<std::size_t>(2, cfg_.batches_per_shard);
   shards_.reserve(nshards_);
   for (std::size_t i = 0; i < nshards_; ++i) {
-    shards_.push_back(std::make_unique<Shard>(batches_per_shard_));
+    shards_.push_back(std::make_unique<Shard>());
   }
 
   auto& reg = obs::MetricsRegistry::global();
@@ -145,9 +152,9 @@ StreamEngine::StreamEngine(const FlowAnalyzer& analyzer, StreamConfig cfg)
     pending_first_seq_.resize(nshards_, 0);
     for (std::size_t i = 0; i < nshards_; ++i) {
       Shard& s = *shards_[i];
-      for (std::size_t b = 0; b < batches_per_shard_; ++b) {
+      for (std::size_t b = 0; b < kBatchesPerShard; ++b) {
         batch_pool_.push_back(std::make_unique<std::vector<RoutedRecord>>());
-        batch_pool_.back()->reserve(cfg_.batch_records);
+        batch_pool_.back()->reserve(StreamConfig::batch_records);
         if (b == 0) {
           pending_[i] = batch_pool_.back().get();
         } else {
@@ -186,11 +193,10 @@ void StreamEngine::worker_loop(unsigned worker_id, unsigned nworkers) {
       std::vector<RoutedRecord>* batch = nullptr;
       while (s.inbox.try_pop(batch)) {
         for (const RoutedRecord& r : *batch) process_record(s, r);
-        if (cfg_.ordered_drain && !batch->empty()) {
-          // Release AFTER the batch's finalizations hit the ready queue:
-          // a drain that acquires this watermark sees those emissions.
-          s.processed.store(batch->back().seq, std::memory_order_release);
-        }
+        // Release AFTER the batch's finalizations hit the ready queue: a
+        // drain that acquires this watermark sees those emissions. (Only
+        // non-empty batches are flushed.)
+        s.processed.store(batch->back().seq, std::memory_order_release);
         batch->clear();
         s.recycle.try_push(std::move(batch));  // capacity ≥ pool, never full
         s.inflight.fetch_sub(1, std::memory_order_release);
@@ -204,7 +210,7 @@ void StreamEngine::worker_loop(unsigned worker_id, unsigned nworkers) {
 }
 
 void StreamEngine::route(RoutedRecord r) {
-  if (cfg_.ordered_drain) r.seq = seq_next_++;
+  r.seq = seq_next_++;
   const std::size_t idx =
       shard_mask_ != 0 ? (r.hash & shard_mask_) : (r.hash % nshards_);
   if (workers_.empty()) {
@@ -218,7 +224,7 @@ void StreamEngine::enqueue_to_shard(std::size_t idx, const RoutedRecord& r) {
   std::vector<RoutedRecord>* batch = pending_[idx];
   if (batch->empty()) pending_first_seq_[idx] = r.seq;
   batch->push_back(r);
-  if (batch->size() >= cfg_.batch_records) flush_pending(idx);
+  if (batch->size() >= StreamConfig::batch_records) flush_pending(idx);
 }
 
 void StreamEngine::flush_pending(std::size_t idx) {
@@ -265,7 +271,7 @@ double StreamEngine::pressure() const {
   for (const std::unique_ptr<Shard>& sp : shards_) {
     worst = std::max(worst, sp->inflight.load(std::memory_order_relaxed));
   }
-  return static_cast<double>(worst) / static_cast<double>(batches_per_shard_);
+  return static_cast<double>(worst) / static_cast<double>(kBatchesPerShard);
 }
 
 void StreamEngine::push(const analysis::WireRecord& w) {
@@ -370,14 +376,10 @@ void StreamEngine::finalize_flow(Shard& s, const sim::FlowKey& canonical,
         analyzer_.report_from_extract(fin.data_key, std::move(fin.extracted),
                                       fin.throughput_bps, fin.duration,
                                       fin.data_packets);
-    if (cfg_.ordered_drain && !eoc_phase_) {
-      std::lock_guard<std::mutex> lk(s.ready_mu);
-      s.ready.push_back(ReadyReport{s.cur_seq, s.cur_emit++, fin.start_time,
-                                    s.cur_ingest_ns, s.cur_time,
-                                    std::move(report)});
-    } else {
-      s.done.push_back(Shard::Done{fin.start_time, std::move(report)});
-    }
+    std::lock_guard<std::mutex> lk(s.ready_mu);
+    s.ready.push_back(ReadyReport{s.cur_seq, s.cur_emit++, fin.start_time,
+                                  s.cur_ingest_ns, s.cur_time,
+                                  std::move(report)});
   }
   s.lru.erase(it->second.lru_it);
   s.flows.erase(it);
@@ -407,57 +409,12 @@ void StreamEngine::finalize_flow(Shard& s, const sim::FlowKey& canonical,
 }
 
 std::vector<FlowReport> StreamEngine::finish() {
-  obs::TraceSpan span("stream.finalize", "stream");
-  if (!workers_.empty()) {
-    for (std::size_t idx = 0; idx < nshards_; ++idx) {
-      if (!pending_[idx]->empty()) flush_pending(idx);
-    }
-    stop_workers();
-  }
-
-  StreamStats total;
-  std::size_t active = 0;
-  std::uint64_t max_shard_records = 0;
-  std::vector<Shard::Done> all;
-  for (const std::unique_ptr<Shard>& sp : shards_) {
-    Shard& s = *sp;
-    active += s.flows.size();
-    while (!s.lru.empty()) {
-      finalize_flow(s, s.lru.front(), Evict::kEndOfCapture);
-    }
-    for (Shard::Done& d : s.done) all.push_back(std::move(d));
-    s.done.clear();
-    total.records += s.tally.records;
-    total.flows_opened += s.tally.flows_opened;
-    total.flows_finalized += s.tally.flows_finalized;
-    total.evicted_fin += s.tally.evicted_fin;
-    total.evicted_idle += s.tally.evicted_idle;
-    total.evicted_lru += s.tally.evicted_lru;
-    total.evicted_forced += s.tally.evicted_forced;
-    total.early_classified += s.tally.early_classified;
-    total.peak_active_flows += s.peak;
-    max_shard_records = std::max(max_shard_records, s.tally.records);
-  }
-
-  std::sort(all.begin(), all.end(),
-            [](const Shard::Done& a, const Shard::Done& b) {
-              return analysis::flow_order_less(a.start, a.report.data_key,
-                                               b.start, b.report.data_key);
-            });
+  std::vector<ReadyReport> ready;
+  finish_ordered(ready);
+  std::stable_sort(ready.begin(), ready.end(), flow_order_less_ready);
   std::vector<FlowReport> reports;
-  reports.reserve(all.size());
-  for (Shard::Done& d : all) reports.push_back(std::move(d.report));
-
-  active_g_.set(static_cast<double>(active));
-  peak_g_.set(static_cast<double>(total.peak_active_flows));
-  if (total.records > 0) {
-    const double mean = static_cast<double>(total.records) /
-                        static_cast<double>(nshards_);
-    imbalance_g_.set(static_cast<double>(max_shard_records) / mean);
-  }
-
-  final_stats_ = total;
-  finished_ = true;
+  reports.reserve(ready.size());
+  for (ReadyReport& r : ready) reports.push_back(std::move(r.report));
   return reports;
 }
 
@@ -523,22 +480,23 @@ void StreamEngine::finish_ordered(std::vector<ReadyReport>& out) {
   // Workers are gone and nothing is pending, so everything queued is final.
   extract_ready(seq_next_, out);
 
-  // End-of-capture: finalize still-resident flows through the done list,
-  // order them with flow_order_less, and append them after every
-  // record-triggered emission under the first never-assigned seq.
-  eoc_phase_ = true;
+  // End of capture: finalize still-resident flows under the first
+  // never-assigned seq (no record triggered them, so they carry no latency
+  // freight), then order them with flow_order_less as the tail of the
+  // emission order.
+  const std::size_t eoc_base = out.size();
   StreamStats total;
   std::size_t active = 0;
   std::uint64_t max_shard_records = 0;
-  std::vector<Shard::Done> eoc;
   for (const std::unique_ptr<Shard>& sp : shards_) {
     Shard& s = *sp;
     active += s.flows.size();
+    s.cur_seq = seq_next_;
+    s.cur_ingest_ns = 0;
+    s.cur_time = 0;
     while (!s.lru.empty()) {
       finalize_flow(s, s.lru.front(), Evict::kEndOfCapture);
     }
-    for (Shard::Done& d : s.done) eoc.push_back(std::move(d));
-    s.done.clear();
     total.records += s.tally.records;
     total.flows_opened += s.tally.flows_opened;
     total.flows_finalized += s.tally.flows_finalized;
@@ -550,16 +508,11 @@ void StreamEngine::finish_ordered(std::vector<ReadyReport>& out) {
     total.peak_active_flows += s.peak;
     max_shard_records = std::max(max_shard_records, s.tally.records);
   }
-  std::sort(eoc.begin(), eoc.end(),
-            [](const Shard::Done& a, const Shard::Done& b) {
-              return analysis::flow_order_less(a.start, a.report.data_key,
-                                               b.start, b.report.data_key);
-            });
+  extract_ready(seq_next_ + 1, out);
+  const auto eoc = out.begin() + static_cast<std::ptrdiff_t>(eoc_base);
+  std::sort(eoc, out.end(), flow_order_less_ready);
   std::uint32_t emit = 0;
-  for (Shard::Done& d : eoc) {
-    out.push_back(ReadyReport{seq_next_, emit++, d.start, /*ingest_ns=*/0,
-                              /*trigger_time=*/0, std::move(d.report)});
-  }
+  for (auto it = eoc; it != out.end(); ++it) it->emit_idx = emit++;
 
   active_g_.set(static_cast<double>(active));
   peak_g_.set(static_cast<double>(total.peak_active_flows));
@@ -569,7 +522,6 @@ void StreamEngine::finish_ordered(std::vector<ReadyReport>& out) {
     imbalance_g_.set(static_cast<double>(max_shard_records) / mean);
   }
   final_stats_ = total;
-  finished_ = true;
 }
 
 PcapAnalysis analyze_pcap_stream(const std::string& path,
@@ -588,8 +540,8 @@ PcapAnalysis analyze_pcap_stream(const std::string& path,
     obs::TraceSpan span("stream.ingest", "stream");
     BatchedIngest ingest(path, mode);
     std::vector<RoutedRecord> batch;
-    batch.reserve(cfg.batch_records);
-    while (ingest.fill(batch, cfg.batch_records) > 0) {
+    batch.reserve(StreamConfig::batch_records);
+    while (ingest.fill(batch, StreamConfig::batch_records) > 0) {
       engine.push_batch(batch);
       batch.clear();
     }

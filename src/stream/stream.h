@@ -6,7 +6,14 @@
 // idle timeout, LRU pressure, or end of capture) — O(active flows) memory
 // regardless of capture size. Every analysis entry point runs on it:
 // FlowAnalyzer::analyze / analyze_pcap[_checked] (eviction off), the
-// ccsig_analyze tool, and the ccsigd service (ordered drain).
+// ccsig_analyze tool, and the ccsigd service.
+//
+// One emission order: each finalization is queued under the arrival index
+// of the record that triggered it (ReadyReport). drain_ready() hands out
+// the settled prefix while records still flow (the service),
+// finish_ordered() appends the end-of-capture tail, and finish() is
+// finish_ordered() re-sorted by flow_order_less (the whole-run entry
+// points).
 //
 // Threading model (jobs > 1): each shard is owned by exactly one worker
 // thread — a single writer — and record batches travel from the pushing
@@ -50,9 +57,12 @@ struct StreamConfig {
   unsigned jobs = 1;
   /// Flow-table shards. The shard is part of the eviction semantics (the
   /// LRU cap is divided across shards), so this is NOT tied to `jobs`;
-  /// 0 means kDefaultShards.
+  /// 0 means kDefaultShards. At most kMaxShards.
   unsigned shards = 0;
   static constexpr unsigned kDefaultShards = 8;
+  /// Shard state is allocated up front, so the count is bounded: the engine
+  /// throws std::invalid_argument above this, the tools exit 2.
+  static constexpr unsigned kMaxShards = 1024;
   /// Upper bound on simultaneously resident flows, divided evenly across
   /// shards (at least 1 each). 0 disables the cap.
   std::size_t max_active_flows = 65536;
@@ -60,23 +70,10 @@ struct StreamConfig {
   /// result is a function of the capture, not of wall-clock scheduling).
   /// <= 0 disables idle eviction.
   sim::Duration idle_timeout = 0;
-  /// Records per cross-thread batch when jobs > 1.
-  std::size_t batch_records = 512;
-  /// Batch buffers in circulation per shard when jobs > 1: one being
-  /// filled by the producer, the rest queued or draining. Bounded, so a
-  /// slow shard backpressures the pusher instead of growing a queue; the
-  /// fill fraction of the fullest shard is what pressure() reports.
-  /// Values below 2 are clamped to 2.
-  std::size_t batches_per_shard = 4;
-  /// Ordered incremental emission for the service layer. Every pushed
-  /// record is stamped with a global arrival sequence number, finalized
-  /// flows are queued per shard instead of held until finish(), and
-  /// drain_ready() hands them out in an order that is a pure function of
-  /// the pushed record sequence — byte-identical at any `jobs`. The
-  /// whole-run finish() must not be used on an ordered engine (use
-  /// finish_ordered()).
-  bool ordered_drain = false;
   features::ExtractOptions extract;
+  /// Records per cross-thread batch when jobs > 1, and the batch size the
+  /// capture readers fill.
+  static constexpr std::size_t batch_records = 512;
 };
 
 /// Per-run tallies, valid after finish(). The same values are published to
@@ -100,7 +97,7 @@ struct StreamStats {
   std::size_t peak_active_flows = 0;
 };
 
-/// One flow verdict emitted by an ordered-drain engine, tagged with its
+/// One flow verdict as the engine emits it, tagged with its
 /// deterministic position in the emission order: `seq` is the global
 /// arrival index of the record (or force-evict command) that triggered the
 /// finalization, `emit_idx` breaks ties among the finalizations one record
@@ -138,15 +135,15 @@ class StreamEngine {
   /// time and are never recomputed.
   void push_batch(std::span<const RoutedRecord> batch);
 
-  /// Flushes and finalizes every remaining flow and returns all reports in
-  /// flow_order_less order. Call exactly once; push() must not be called
-  /// afterwards.
+  /// Flushes and finalizes every remaining flow and returns the reports
+  /// not yet drained, in flow_order_less order: finish_ordered() plus a
+  /// sort. Call exactly once; push() must not be called afterwards.
   std::vector<FlowReport> finish();
 
   /// Valid after finish() / finish_ordered().
   const StreamStats& stats() const { return final_stats_; }
 
-  // -- Ordered-drain interface (cfg.ordered_drain, single control thread) --
+  // -- Incremental emission (single control thread) ------------------------
   // The service layer pushes records, periodically drains whatever has
   // become safely emittable, and finish_ordered()s at drain time. All of
   // these must be called from the one thread that also pushes.
@@ -166,9 +163,9 @@ class StreamEngine {
   /// when drains happen.
   void drain_ready(std::vector<ReadyReport>& out);
 
-  /// Ordered-drain finish: flushes workers, drains every queued emission,
-  /// then finalizes still-resident flows in flow_order_less order (the
-  /// end-of-capture tail of the emission order). Call exactly once.
+  /// Flushes workers, drains every queued emission, then finalizes
+  /// still-resident flows in flow_order_less order (the end-of-capture
+  /// tail of the emission order). Call exactly once (finish() included).
   void finish_ordered(std::vector<ReadyReport>& out);
 
   /// Fill fraction [0, 1] of the fullest shard inbox — the engine-side
@@ -206,13 +203,9 @@ class StreamEngine {
   std::size_t nshards_ = 1;
   std::size_t shard_mask_ = 0;  // nshards_ - 1 when a power of two, else 0
   std::size_t per_shard_cap_ = 0;  // 0 = unlimited
-  std::size_t batches_per_shard_ = 4;
-  // Next global arrival index (ordered_drain). Starts at 1 so the
-  // watermark value 0 unambiguously means "nothing processed yet".
+  // Next global arrival index. Starts at 1 so the watermark value 0
+  // unambiguously means "nothing processed yet".
   std::uint64_t seq_next_ = 1;
-  // End-of-capture phase: workers are stopped and finalize_flow routes to
-  // the sorted-at-finish done list even on an ordered engine.
-  bool eoc_phase_ = false;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   // Producer-side per-shard batch being filled (untouched when inline).
@@ -229,7 +222,6 @@ class StreamEngine {
   obs::Gauge active_g_, peak_g_, imbalance_g_;
 
   StreamStats final_stats_;
-  bool finished_ = false;
 
   std::atomic<bool> stop_{false};
   std::vector<std::thread> workers_;

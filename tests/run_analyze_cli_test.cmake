@@ -1,6 +1,8 @@
 # Command-line contract of ccsig_analyze:
 #   - numeric flags reject negative, non-numeric and out-of-range values
-#     with exit 2 (no silent atoi wrap-around);
+#     with exit 2 (no silent atoi wrap-around), and --shards is bounded by
+#     StreamConfig::kMaxShards (1024) — a larger count would allocate every
+#     shard up front;
 #   - the removed --stream / --mmap flags are usage errors;
 #   - --flow-telemetry writes exactly the slow-start RTT samples each
 #     verdict was computed from: one CSV row per sample, as many as
@@ -32,6 +34,10 @@ foreach(flag --min-samples --jobs --shards --max-flows --idle-timeout)
   endforeach()
   expect_exit(0 ${CAPTURE} ${flag} 1)
 endforeach()
+foreach(too_many 1025 100000000 4294967295)
+  expect_exit(2 ${CAPTURE} --shards ${too_many})
+endforeach()
+expect_exit(0 ${CAPTURE} --shards 1024)
 expect_exit(2 ${CAPTURE} --idle-timeout nan)
 expect_exit(2 ${CAPTURE} --idle-timeout inf)
 expect_exit(2 ${CAPTURE} --stream)

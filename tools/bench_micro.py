@@ -65,7 +65,8 @@ COUNTER_BOUNDS = {
 # numbers an idle machine produces are ~19-24 M packets/s; the floors sit
 # an order of magnitude below that so they survive a loaded CI box while
 # still catching structural regressions (a per-record allocation, an
-# accidental O(n^2), losing the fused mmap path).
+# accidental O(n^2), clean records falling off PcapCursor::next()'s inline
+# fast path onto its out-of-line slow path).
 LADDER_FLOORS = {
     "BM_IngestMmapBatched/64": {"packets_per_second": 2.0e6},
 }

@@ -16,7 +16,9 @@
 // exactly FlowAnalyzer::analyze_pcap_checked's. --jobs sets worker threads
 // (output-invariant); --shards/--max-flows/--idle-timeout turn on the flow
 // table's eviction policy (these CAN change the output by evicting
-// long-lived flows early).
+// long-lived flows early). Numeric flags take non-negative decimal values
+// (--shards at most StreamConfig::kMaxShards, 1024) and reject anything
+// else with exit 2.
 //
 // Observability side files (see src/obs/): --metrics-out writes the final
 // metrics snapshot JSON, --metrics-prom the same snapshot in Prometheus
@@ -28,13 +30,9 @@
 // Exit codes: 0 success, 1 no classifiable flows, 2 usage error,
 // 3 unreadable or malformed input, 4 internal error.
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ios>
-#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -48,36 +46,11 @@
 #include "obs/trace.h"
 #include "pcap/cursor.h"
 #include "runtime/atomic_file.h"
+#include "runtime/cli_args.h"
 #include "runtime/parse_error.h"
 #include "stream/stream.h"
 
 namespace {
-
-/// Parses a non-negative decimal integer no larger than `max`; rejects
-/// signs, garbage and overflow.
-bool parse_count(const char* text, unsigned long long max,
-                 unsigned long long& out) {
-  if (text[0] < '0' || text[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0' || v > max) return false;
-  out = v;
-  return true;
-}
-
-/// Parses a finite, non-negative number of seconds.
-bool parse_seconds(const char* text, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v) ||
-      v < 0) {
-    return false;
-  }
-  out = v;
-  return true;
-}
 
 /// Collects each finalized flow's slow-start RTT samples from the engine
 /// (possibly from several worker threads) for the --flow-telemetry CSV.
@@ -124,6 +97,9 @@ class TelemetrySink : public ccsig::obs::RttSampleSink {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using ccsig::runtime::parse_count;
+  using ccsig::runtime::parse_seconds;
+  using ccsig::stream::StreamConfig;
   std::string pcap_path;
   std::string model_path;
   std::string metrics_path;
@@ -134,7 +110,7 @@ int main(int argc, char** argv) {
   bool verbose = false;
   // Whole-capture analysis (analyze_pcap_checked's settings) unless an
   // eviction flag says otherwise.
-  ccsig::stream::StreamConfig stream_cfg;
+  StreamConfig stream_cfg;
   stream_cfg.max_active_flows = 0;
 
   const auto usage = [&] {
@@ -148,41 +124,33 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   };
-  const auto bad_value = [&](const char* flag, const char* value) {
-    std::fprintf(stderr, "%s: invalid value '%s'\n", flag, value);
-    return 2;
-  };
-  constexpr unsigned long long kMaxUint =
-      std::numeric_limits<unsigned>::max();
-  constexpr unsigned long long kMaxSize =
-      std::numeric_limits<std::size_t>::max();
-  constexpr double kMaxIdleSeconds = 1e9;  // keeps the ns value in range
 
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     const bool has_value = i + 1 < argc;
-    unsigned long long n = 0;
+    // Exit 2 naming the flag and the value just consumed.
+    const auto bad = [&] {
+      std::fprintf(stderr, "%s: invalid value '%s'\n", flag, argv[i]);
+      return 2;
+    };
     double secs = 0;
     if (std::strcmp(flag, "--model") == 0 && has_value) {
       model_path = argv[++i];
     } else if (std::strcmp(flag, "--min-samples") == 0 && has_value) {
-      if (!parse_count(argv[++i], kMaxSize, n)) return bad_value(flag, argv[i]);
-      extract.min_rtt_samples = n;
+      if (!parse_count(argv[++i], extract.min_rtt_samples)) return bad();
     } else if (std::strcmp(flag, "--verbose") == 0) {
       verbose = true;
     } else if (std::strcmp(flag, "--jobs") == 0 && has_value) {
-      if (!parse_count(argv[++i], kMaxUint, n)) return bad_value(flag, argv[i]);
-      stream_cfg.jobs = static_cast<unsigned>(n);
+      if (!parse_count(argv[++i], stream_cfg.jobs)) return bad();
     } else if (std::strcmp(flag, "--shards") == 0 && has_value) {
-      if (!parse_count(argv[++i], kMaxUint, n)) return bad_value(flag, argv[i]);
-      stream_cfg.shards = static_cast<unsigned>(n);
-    } else if (std::strcmp(flag, "--max-flows") == 0 && has_value) {
-      if (!parse_count(argv[++i], kMaxSize, n)) return bad_value(flag, argv[i]);
-      stream_cfg.max_active_flows = n;
-    } else if (std::strcmp(flag, "--idle-timeout") == 0 && has_value) {
-      if (!parse_seconds(argv[++i], secs) || secs > kMaxIdleSeconds) {
-        return bad_value(flag, argv[i]);
+      if (!parse_count(argv[++i], stream_cfg.shards, 0u,
+                       StreamConfig::kMaxShards)) {
+        return bad();
       }
+    } else if (std::strcmp(flag, "--max-flows") == 0 && has_value) {
+      if (!parse_count(argv[++i], stream_cfg.max_active_flows)) return bad();
+    } else if (std::strcmp(flag, "--idle-timeout") == 0 && has_value) {
+      if (!parse_seconds(argv[++i], secs)) return bad();
       stream_cfg.idle_timeout = ccsig::sim::from_seconds(secs);
     } else if (std::strcmp(flag, "--metrics-out") == 0 && has_value) {
       metrics_path = argv[++i];

@@ -33,12 +33,17 @@
 //   SIGKILL            (uncatchable) at most one torn verdict frame;
 //                      restart + --replay resumes byte-identically.
 //
+// Numeric flags take non-negative decimal values (--idle-timeout: seconds)
+// and reject anything else with exit 2: --poll-records must be at least 1,
+// --shards at most StreamConfig::kMaxShards, --window-slots at most 3600.
+//
 // Exit codes: 0 clean drain, 2 usage error, 3 unreadable log/model/
 // session, 4 internal error.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "runtime/cli_args.h"
 #include "runtime/event_log.h"
 #include "runtime/shutdown.h"
 #include "service/service.h"
@@ -63,59 +68,78 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using ccsig::runtime::parse_count;
+  using ccsig::runtime::parse_seconds;
   ccsig::service::ServiceConfig cfg;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--log") == 0 && i + 1 < argc) {
+    const char* flag = argv[i];
+    const bool has_value = i + 1 < argc;
+    // Exit 2 naming the flag and the value just consumed.
+    const auto bad = [&] {
+      std::fprintf(stderr, "%s: invalid value '%s'\n", flag, argv[i]);
+      return ccsig::service::ClassificationService::kExitUsage;
+    };
+    double secs = 0;
+    if (std::strcmp(flag, "--log") == 0 && has_value) {
       cfg.verdict_log_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--source") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--source") == 0 && has_value) {
       ccsig::service::SourceConfig sc;
       sc.path = argv[++i];
       cfg.sources.push_back(sc);
-    } else if (std::strcmp(argv[i], "--fifo") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--fifo") == 0 && has_value) {
       ccsig::service::SourceConfig sc;
       sc.path = argv[++i];
       sc.fifo = true;
       cfg.sources.push_back(sc);
-    } else if (std::strcmp(argv[i], "--oneshot-source") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--oneshot-source") == 0 && has_value) {
       ccsig::service::SourceConfig sc;
       sc.path = argv[++i];
       sc.oneshot = true;
       cfg.sources.push_back(sc);
-    } else if (std::strcmp(argv[i], "--model") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--model") == 0 && has_value) {
       cfg.model_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--socket") == 0 && has_value) {
       cfg.socket_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--admin-socket") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--admin-socket") == 0 && has_value) {
       cfg.admin_socket_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--window-tick-ms") == 0 && i + 1 < argc) {
-      cfg.window_tick_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--window-slots") == 0 && i + 1 < argc) {
-      cfg.window_slots = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--window-tick-ms") == 0 && has_value) {
+      if (!parse_count(argv[++i], cfg.window_tick_ms)) return bad();
+    } else if (std::strcmp(flag, "--window-slots") == 0 && has_value) {
+      // The varz ring is allocated up front: an hour of 1 s ticks at most.
+      if (!parse_count(argv[++i], cfg.window_slots, std::size_t{0},
+                       std::size_t{3600})) {
+        return bad();
+      }
+    } else if (std::strcmp(flag, "--record") == 0 && has_value) {
       cfg.record_session_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--replay") == 0 && has_value) {
       cfg.replay_session_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay-pace-us") == 0 && i + 1 < argc) {
-      cfg.replay_pace_us = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      cfg.stream.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      cfg.stream.shards = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-flows") == 0 && i + 1 < argc) {
-      cfg.stream.max_active_flows =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--idle-timeout") == 0 && i + 1 < argc) {
-      cfg.stream.idle_timeout = ccsig::sim::from_seconds(std::atof(argv[++i]));
-    } else if (std::strcmp(argv[i], "--poll-records") == 0 && i + 1 < argc) {
-      cfg.poll_records = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--metrics-interval-ms") == 0 &&
-               i + 1 < argc) {
-      cfg.metrics_interval_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--oneshot") == 0) {
+    } else if (std::strcmp(flag, "--replay-pace-us") == 0 && has_value) {
+      if (!parse_count(argv[++i], cfg.replay_pace_us)) return bad();
+    } else if (std::strcmp(flag, "--jobs") == 0 && has_value) {
+      if (!parse_count(argv[++i], cfg.stream.jobs)) return bad();
+    } else if (std::strcmp(flag, "--shards") == 0 && has_value) {
+      if (!parse_count(argv[++i], cfg.stream.shards, 0u,
+                       ccsig::stream::StreamConfig::kMaxShards)) {
+        return bad();
+      }
+    } else if (std::strcmp(flag, "--max-flows") == 0 && has_value) {
+      if (!parse_count(argv[++i], cfg.stream.max_active_flows)) return bad();
+    } else if (std::strcmp(flag, "--idle-timeout") == 0 && has_value) {
+      if (!parse_seconds(argv[++i], secs)) return bad();
+      cfg.stream.idle_timeout = ccsig::sim::from_seconds(secs);
+    } else if (std::strcmp(flag, "--poll-records") == 0 && has_value) {
+      // 0 would poll nothing, forever.
+      if (!parse_count(argv[++i], cfg.poll_records, std::size_t{1})) {
+        return bad();
+      }
+    } else if (std::strcmp(flag, "--metrics-interval-ms") == 0 && has_value) {
+      if (!parse_count(argv[++i], cfg.metrics_interval_ms)) return bad();
+    } else if (std::strcmp(flag, "--oneshot") == 0) {
       cfg.oneshot = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
+    } else if (std::strcmp(flag, "--quiet") == 0) {
       quiet = true;
     } else {
       return usage(argv[0]);
