@@ -1,12 +1,8 @@
 #include "mlab/dispute2014.h"
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
-#include "runtime/atomic_file.h"
 #include "runtime/campaign.h"
 #include "runtime/csv.h"
 #include "sim/random.h"
@@ -73,11 +69,6 @@ NdtObservation run_planned_ndt(const PlannedNdt& p,
 
 namespace {
 
-constexpr char kHeader[] =
-    "transit,site,isp,month,hour,plan_mbps,throughput_mbps,ss_tput_mbps,"
-    "norm_diff,cov,has_features,passes_filters,truth_external";
-constexpr char kFingerprintPrefix[] = "# options: ";
-
 void append_ints(std::ostream& out, const std::vector<int>& v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i) out << '|';
@@ -86,9 +77,6 @@ void append_ints(std::ostream& out, const std::vector<int>& v) {
 }
 
 }  // namespace
-
-const char* observations_csv_header() { return kHeader; }
-const char* observations_fingerprint_prefix() { return kFingerprintPrefix; }
 
 std::string format_observation_row(const NdtObservation& o) {
   std::ostringstream out;
@@ -122,6 +110,12 @@ NdtObservation parse_observation_row(const std::string& line,
   row.expect_end();
   return o;
 }
+
+const runtime::RowFormat<NdtObservation> kObservationRows{
+    "dispute2014",
+    "transit,site,isp,month,hour,plan_mbps,throughput_mbps,ss_tput_mbps,"
+    "norm_diff,cov,has_features,passes_filters,truth_external",
+    format_observation_row, parse_observation_row};
 
 DisputePlanCursor::DisputePlanCursor(const Dispute2014Options& opt)
     : opt_(opt),
@@ -181,45 +175,25 @@ std::optional<PlannedNdt> DisputePlanCursor::next() {
   return p;
 }
 
-std::vector<NdtObservation> generate_dispute2014(
+namespace {
+
+runtime::Campaign<PlannedNdt, NdtObservation> dispute_campaign(
     const Dispute2014Options& opt) {
   DisputePlanCursor cursor(opt);
   std::vector<PlannedNdt> plan;
   plan.reserve(cursor.total());
   while (auto p = cursor.next()) plan.push_back(std::move(*p));
+  return {std::move(plan),
+          [opt](const PlannedNdt& p) { return run_planned_ndt(p, opt); },
+          [](const PlannedNdt& p) { return p.pc.seed; },
+          dispute_fingerprint(opt), &kObservationRows};
+}
 
-  runtime::CheckpointedRunOptions ropt;
-  ropt.checkpoint_path = opt.checkpoint_path;
-  ropt.fingerprint = dispute_fingerprint(opt);
-  ropt.checkpoint_every = opt.checkpoint_every;
-  ropt.jobs = opt.jobs;
-  ropt.retry = opt.retry;
-  ropt.soft_deadline = opt.soft_deadline;
-  ropt.abandon_on_deadline = opt.abandon_on_deadline;
-  ropt.faults = opt.faults;
-  ropt.progress = opt.progress;
-  // By value: abandoned jobs may report errors after this frame is gone.
-  std::vector<std::uint64_t> seeds(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) seeds[i] = plan[i].pc.seed;
-  ropt.seed_of = [seeds](std::size_t slot) { return seeds[slot]; };
-  ropt.errors_out = opt.errors_out;
-  ropt.commit_out = opt.checkpoint_commit_out;
-  ropt.stats_out = opt.stats_out;
+}  // namespace
 
-  const auto slots = runtime::run_checkpointed(
-      plan, [opt](const PlannedNdt& p) { return run_planned_ndt(p, opt); },
-      format_observation_row,
-      [&ropt](const std::string& line) {
-        return parse_observation_row(line, ropt.checkpoint_path, 0);
-      },
-      ropt);
-
-  std::vector<NdtObservation> out;
-  out.reserve(slots.size());
-  for (const auto& slot : slots) {
-    if (slot) out.push_back(*slot);
-  }
-  return out;
+std::vector<NdtObservation> generate_dispute2014(
+    const Dispute2014Options& opt) {
+  return runtime::run_campaign(dispute_campaign(opt), opt);
 }
 
 std::optional<int> dispute_coarse_label(const NdtObservation& obs) {
@@ -257,84 +231,18 @@ std::string dispute_fingerprint(const Dispute2014Options& opt) {
 void save_observations_csv(const std::string& path,
                            const std::vector<NdtObservation>& obs,
                            const std::string& fingerprint) {
-  std::ostringstream out;
-  if (!fingerprint.empty()) out << kFingerprintPrefix << fingerprint << "\n";
-  out << kHeader << "\n";
-  for (const auto& o : obs) out << format_observation_row(o) << "\n";
-  runtime::write_file_atomic(path, out.str());
+  runtime::save_rows_csv(path, obs, kObservationRows, fingerprint);
 }
 
 std::vector<NdtObservation> load_observations_csv(
     const std::string& path, std::string* fingerprint_out) {
-  std::ifstream in(path);
-  if (!in) {
-    runtime::throw_parse_error(path, 0, "line", "cannot read campaign csv");
-  }
-  std::string line;
-  std::string fingerprint;
-  std::uint64_t line_no = 1;
-  if (!std::getline(in, line)) {
-    runtime::throw_parse_error(path, line_no, "line",
-                               "empty file (expected csv header)");
-  }
-  if (line.rfind(kFingerprintPrefix, 0) == 0) {
-    fingerprint = line.substr(sizeof(kFingerprintPrefix) - 1);
-    ++line_no;
-    if (!std::getline(in, line)) line.clear();
-  }
-  if (line != kHeader) {
-    runtime::throw_parse_error(path, line_no, "line",
-                               "unrecognized campaign csv header");
-  }
-  if (fingerprint_out) *fingerprint_out = fingerprint;
-  std::vector<NdtObservation> out;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    out.push_back(parse_observation_row(line, path, line_no));
-  }
-  return out;
+  return runtime::load_rows_csv(path, kObservationRows, fingerprint_out);
 }
 
 std::vector<NdtObservation> load_or_generate_dispute2014(
     const std::string& cache_path, const Dispute2014Options& opt) {
-  const std::string want = dispute_fingerprint(opt);
-  if (std::filesystem::exists(cache_path)) {
-    try {
-      std::string have;
-      auto obs = load_observations_csv(cache_path, &have);
-      if (have.empty() || have == want) return obs;
-    } catch (const runtime::ParseException&) {
-      // Corrupt cache: regenerate below instead of failing the caller.
-    }
-  }
-  Dispute2014Options resumable = opt;
-  if (resumable.checkpoint_path.empty()) {
-    resumable.checkpoint_path = cache_path + ".ckpt";
-  }
-  // A partial result (some observations failed permanently) must never
-  // become a fingerprinted cache hit: skip the cache write so the kept
-  // checkpoint drives a retry of only the failed slots next invocation.
-  std::vector<runtime::JobError> local_errors;
-  if (!resumable.errors_out) resumable.errors_out = &local_errors;
-  const std::size_t errors_before = resumable.errors_out->size();
-  std::function<void()> commit;
-  resumable.checkpoint_commit_out = &commit;
-  runtime::CampaignStats stats;
-  if (!resumable.stats_out) resumable.stats_out = &stats;
-  auto obs = generate_dispute2014(resumable);
-  if (resumable.errors_out->size() == errors_before) {
-    // Cache first, checkpoint removal second: a crash between the two only
-    // costs a cheap resume-with-nothing-pending, never recorded progress.
-    obs::TraceSpan span("campaign.cache_commit", "campaign");
-    save_observations_csv(cache_path, obs, want);
-    if (commit) commit();
-  }
-  // Auditability side artifact (never read back, never fingerprinted).
-  runtime::write_file_atomic(
-      cache_path + ".metrics.json",
-      runtime::campaign_metrics_json(want, *resumable.stats_out));
-  return obs;
+  return runtime::load_or_run_campaign(cache_path, dispute_campaign(opt),
+                                       opt);
 }
 
 }  // namespace ccsig::mlab

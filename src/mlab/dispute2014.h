@@ -8,17 +8,14 @@
 // prioritization). Cox peered directly and is never affected.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "mlab/path.h"
 #include "runtime/campaign.h"
-#include "runtime/fault_injection.h"
-#include "runtime/job_result.h"
+#include "runtime/csv.h"
 #include "sim/random.h"
 
 namespace ccsig::mlab {
@@ -68,7 +65,9 @@ struct NdtObservation {
   bool truth_external = false;
 };
 
-struct Dispute2014Options {
+/// What the campaign computes (fingerprinted) plus how it executes (the
+/// CampaignOptions base, see runtime/campaign.h).
+struct Dispute2014Options : runtime::CampaignOptions {
   int tests_per_cell = 1;  // per (site, isp, month, hour)
   std::vector<int> months = {1, 2, 3, 4};
   std::vector<int> hours = {0, 1, 2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
@@ -88,33 +87,6 @@ struct Dispute2014Options {
   /// stay valid.
   std::string ndt_cc = "cubic";
   std::uint64_t seed = 2014;
-  /// Worker threads: 0 = every hardware thread, 1 = serial. Output is
-  /// identical for any value (per-observation path configs and seeds are
-  /// drawn in a deterministic pre-pass, results collected in slot order).
-  int jobs = 0;
-  /// Progress callback; invocations are serialized even when `jobs > 1`.
-  std::function<void(std::size_t, std::size_t)> progress;
-
-  // --- Fault tolerance (see runtime/campaign.h) ---------------------------
-  /// Shard-checkpoint file for kill/resume; empty disables checkpointing.
-  /// load_or_generate_dispute2014 sets this to `<cache>.ckpt` automatically.
-  std::string checkpoint_path;
-  int checkpoint_every = 16;
-  runtime::RetryPolicy retry = runtime::RetryPolicy::attempts(2);
-  std::chrono::milliseconds soft_deadline{0};
-  bool abandon_on_deadline = false;
-  const runtime::FaultPlan* faults = nullptr;
-  /// Receives one JobError per observation that ultimately failed (the
-  /// observation is absent from the result). nullptr = discard errors.
-  std::vector<runtime::JobError>* errors_out = nullptr;
-  /// When non-null and every observation succeeded, receives a callback
-  /// that deletes the shard checkpoint; the checkpoint is kept until the
-  /// caller invokes it (after atomically writing the final CSV). See
-  /// runtime::CheckpointedRunOptions::commit_out.
-  std::function<void()>* checkpoint_commit_out = nullptr;
-  /// When non-null, receives the campaign's slot accounting
-  /// (restored/executed/failed/retried/abandoned counts).
-  runtime::CampaignStats* stats_out = nullptr;
 };
 
 /// Runs the campaign (one independent path simulation per observation).
@@ -130,8 +102,8 @@ std::optional<int> dispute_coarse_label(const NdtObservation& obs);
 inline bool is_peak_hour(int hour) { return hour >= 16 && hour <= 23; }
 inline bool is_offpeak_hour(int hour) { return hour >= 1 && hour <= 8; }
 
-/// One-line digest of every option affecting campaign content (not
-/// `jobs`/`progress`); embedded in cache CSVs to invalidate stale caches.
+/// One-line digest of every option affecting campaign content (no
+/// CampaignOptions field); embedded in cache CSVs to invalidate stale caches.
 std::string dispute_fingerprint(const Dispute2014Options& opt);
 
 /// One fully-specified NDT test: the path it runs over plus the metadata
@@ -185,27 +157,19 @@ std::string format_observation_row(const NdtObservation& o);
 NdtObservation parse_observation_row(const std::string& line,
                                      const std::string& file,
                                      std::uint64_t line_no);
-/// The exact header line save_observations_csv writes.
-const char* observations_csv_header();
-/// The "# options: " prefix introducing the fingerprint line.
-const char* observations_fingerprint_prefix();
+/// The observation row format: header line plus the two functions above.
+extern const runtime::RowFormat<NdtObservation> kObservationRows;
 
-/// Writes the observations atomically (temp file + rename).
+/// The observations cache CSV: runtime::save_rows_csv / load_rows_csv
+/// with kObservationRows.
 void save_observations_csv(const std::string& path,
                            const std::vector<NdtObservation>& obs,
                            const std::string& fingerprint = "");
-/// Malformed input raises runtime::ParseException (file, line, reason).
 std::vector<NdtObservation> load_observations_csv(
     const std::string& path, std::string* fingerprint_out = nullptr);
 
-/// Loads `cache_path` when present and not stale (legacy caches without a
-/// fingerprint are trusted); otherwise generates — resuming from
-/// `<cache_path>.ckpt` when a matching checkpoint survives a previous
-/// kill — and atomically rewrites the cache. A corrupt cache is treated
-/// as stale, never fatal. A campaign with permanently failed observations
-/// returns its partial result but is NOT cached: the checkpoint is kept so
-/// the next invocation retries only the failed slots. On success the
-/// checkpoint is removed only after the cache CSV is safely on disk.
+/// generate_dispute2014 behind the campaign cache:
+/// runtime::load_or_run_campaign.
 std::vector<NdtObservation> load_or_generate_dispute2014(
     const std::string& cache_path, const Dispute2014Options& opt);
 

@@ -364,10 +364,7 @@ void export_rows_csv(const std::string& store_path,
     }
     std::uint64_t header_bytes = 0;
     fingerprint = read_header(in, store_path, &header_bytes);
-    if (!fingerprint.empty()) {
-      out << observations_fingerprint_prefix() << fingerprint << "\n";
-    }
-    out << observations_csv_header() << "\n";
+    out << kObservationRows.preamble(fingerprint);
     scan_blocks(in, fingerprint, header_bytes,
                 [&out](const std::vector<NdtObservation>& rows) {
                   for (const NdtObservation& r : rows) {

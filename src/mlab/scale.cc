@@ -133,40 +133,22 @@ ScaleResult run_scale_campaign(const ScaleOptions& opt) {
       items.push_back(std::move(*p));
     }
 
-    runtime::CheckpointedRunOptions ropt;
-    ropt.checkpoint_path = opt.store_path + ".ckpt";
     // Chunk index in the fingerprint: a checkpoint from chunk k must never
     // satisfy slots of chunk k+1.
-    ropt.fingerprint = fp + " chunk=" + std::to_string(chunk_idx);
-    ropt.checkpoint_every = eff.checkpoint_every;
-    ropt.jobs = eff.jobs;
-    ropt.retry = eff.retry;
-    ropt.soft_deadline = eff.soft_deadline;
-    ropt.abandon_on_deadline = eff.abandon_on_deadline;
-    ropt.faults = eff.faults;
-    std::vector<std::uint64_t> seeds(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) seeds[i] = items[i].pc.seed;
-    ropt.seed_of = [seeds](std::size_t slot) { return seeds[slot]; };
-    ropt.errors_out = eff.errors_out;
-    std::function<void()> commit;
-    ropt.commit_out = &commit;
-
-    const bool analytic = opt.analytic;
-    const auto slots = runtime::run_checkpointed(
-        items,
-        [analytic, &eff](const PlannedNdt& p) {
+    const runtime::Campaign<PlannedNdt, NdtObservation> chunk{
+        std::move(items),
+        [analytic = opt.analytic, &eff](const PlannedNdt& p) {
           return analytic ? analytic_ndt(p) : run_planned_ndt(p, eff);
         },
-        format_observation_row,
-        [&ropt](const std::string& line) {
-          return parse_observation_row(line, ropt.checkpoint_path, 0);
-        },
-        ropt);
+        [](const PlannedNdt& p) { return p.pc.seed; },
+        fp + " chunk=" + std::to_string(chunk_idx), &kObservationRows};
+    runtime::CampaignOptions exec = eff;
+    exec.checkpoint_path = opt.store_path + ".ckpt";
+    std::function<void()> commit;
+    std::vector<NdtObservation> rows =
+        runtime::run_campaign(chunk, exec, &commit);
 
-    std::uint64_t failed = 0;
-    for (const auto& slot : slots) {
-      if (!slot) ++failed;
-    }
+    const std::uint64_t failed = chunk.plan.size() - rows.size();
     if (failed > 0) {
       // Keep the chunk's checkpoint (run_checkpointed flushed it) and stop:
       // appending a partial block would bake the gap into the store. The
@@ -175,9 +157,6 @@ ScaleResult run_scale_campaign(const ScaleOptions& opt) {
       return result;
     }
 
-    std::vector<NdtObservation> rows;
-    rows.reserve(slots.size());
-    for (const auto& slot : slots) rows.push_back(*slot);
     // Block first, checkpoint retirement second: a kill between the two
     // re-restores a fully-complete chunk whose rows the fingerprint check
     // (chunk index) then discards — cheap, never wrong.

@@ -6,8 +6,8 @@
 // DisputePlanCursor in fixed-size chunks:
 //
 //   chunk k = plan rows [k*chunk_rows, (k+1)*chunk_rows)
-//     -> run_checkpointed (retries, fault injection, shard checkpoint at
-//        <store>.ckpt fingerprinted to this campaign AND this chunk)
+//     -> runtime::run_campaign (retries, fault injection, shard checkpoint
+//        at <store>.ckpt fingerprinted to this campaign AND this chunk)
 //     -> one committed block appended to the binary row store
 //     -> checkpoint retired
 //
@@ -38,8 +38,10 @@
 namespace ccsig::mlab {
 
 struct ScaleOptions {
-  /// Campaign content knobs (months/hours/intensities/seed/...). Its
-  /// tests_per_cell is overridden when total_rows is set; its
+  /// Campaign content knobs (months/hours/intensities/seed/...) and, via
+  /// its CampaignOptions base, how every chunk executes (jobs, retry,
+  /// faults, errors_out; progress and stats_out see one chunk at a time).
+  /// Its tests_per_cell is overridden when total_rows is set; its
   /// checkpoint_path is ignored (the store location decides).
   Dispute2014Options base;
   /// Target row count. 0 = the full grid implied by base.tests_per_cell.

@@ -1,12 +1,8 @@
 #include "mlab/tslp2017.h"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "mlab/dispute2014.h"  // diurnal_curve
-#include "runtime/atomic_file.h"
 #include "runtime/campaign.h"
 #include "runtime/csv.h"
 #include "sim/random.h"
@@ -51,13 +47,6 @@ TslpObservation run_planned_slot(const PlannedSlot& p,
   return obs;
 }
 
-constexpr char kHeader[] =
-    "day,hour,minute,far_rtt_ms,near_rtt_ms,ndt_ran,throughput_mbps,"
-    "min_flow_rtt_ms,norm_diff,cov,has_features,truth_external";
-constexpr char kFingerprintPrefix[] = "# options: ";
-
-/// The one formatter behind both the cache CSV and the shard checkpoint:
-/// byte-identical rows are what make kill/resume reproducible.
 std::string format_tslp_row(const TslpObservation& o) {
   std::ostringstream out;
   out.precision(17);
@@ -90,9 +79,14 @@ TslpObservation parse_tslp_row(const std::string& line,
   return o;
 }
 
-}  // namespace
+constexpr runtime::RowFormat<TslpObservation> kTslpRows{
+    "tslp2017",
+    "day,hour,minute,far_rtt_ms,near_rtt_ms,ndt_ran,throughput_mbps,"
+    "min_flow_rtt_ms,norm_diff,cov,has_features,truth_external",
+    format_tslp_row, parse_tslp_row};
 
-std::vector<TslpObservation> generate_tslp2017(const Tslp2017Options& opt) {
+runtime::Campaign<PlannedSlot, TslpObservation> tslp_campaign(
+    const Tslp2017Options& opt) {
   sim::Rng rng(opt.seed);
 
   // Pre-draw the congestion episodes: each evening hour block 19–23 is
@@ -138,38 +132,16 @@ std::vector<TslpObservation> generate_tslp2017(const Tslp2017Options& opt) {
     }
   }
 
-  runtime::CheckpointedRunOptions ropt;
-  ropt.checkpoint_path = opt.checkpoint_path;
-  ropt.fingerprint = tslp_fingerprint(opt);
-  ropt.checkpoint_every = opt.checkpoint_every;
-  ropt.jobs = opt.jobs;
-  ropt.retry = opt.retry;
-  ropt.soft_deadline = opt.soft_deadline;
-  ropt.abandon_on_deadline = opt.abandon_on_deadline;
-  ropt.faults = opt.faults;
-  ropt.progress = opt.progress;
-  // By value: abandoned jobs may report errors after this frame is gone.
-  std::vector<std::uint64_t> seeds(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) seeds[i] = plan[i].pc.seed;
-  ropt.seed_of = [seeds](std::size_t slot) { return seeds[slot]; };
-  ropt.errors_out = opt.errors_out;
-  ropt.commit_out = opt.checkpoint_commit_out;
-  ropt.stats_out = opt.stats_out;
+  return {std::move(plan),
+          [opt](const PlannedSlot& p) { return run_planned_slot(p, opt); },
+          [](const PlannedSlot& p) { return p.pc.seed; },
+          tslp_fingerprint(opt), &kTslpRows};
+}
 
-  const auto slots = runtime::run_checkpointed(
-      plan, [opt](const PlannedSlot& p) { return run_planned_slot(p, opt); },
-      format_tslp_row,
-      [&ropt](const std::string& line) {
-        return parse_tslp_row(line, ropt.checkpoint_path, 0);
-      },
-      ropt);
+}  // namespace
 
-  std::vector<TslpObservation> out;
-  out.reserve(slots.size());
-  for (const auto& slot : slots) {
-    if (slot) out.push_back(*slot);
-  }
-  return out;
+std::vector<TslpObservation> generate_tslp2017(const Tslp2017Options& opt) {
+  return runtime::run_campaign(tslp_campaign(opt), opt);
 }
 
 int tslp_label(const TslpObservation& obs) {
@@ -200,84 +172,17 @@ std::string tslp_fingerprint(const Tslp2017Options& opt) {
 void save_tslp_csv(const std::string& path,
                    const std::vector<TslpObservation>& obs,
                    const std::string& fingerprint) {
-  std::ostringstream out;
-  if (!fingerprint.empty()) out << kFingerprintPrefix << fingerprint << "\n";
-  out << kHeader << "\n";
-  for (const auto& o : obs) out << format_tslp_row(o) << "\n";
-  runtime::write_file_atomic(path, out.str());
+  runtime::save_rows_csv(path, obs, kTslpRows, fingerprint);
 }
 
 std::vector<TslpObservation> load_tslp_csv(const std::string& path,
                                            std::string* fingerprint_out) {
-  std::ifstream in(path);
-  if (!in) {
-    runtime::throw_parse_error(path, 0, "line", "cannot read tslp csv");
-  }
-  std::string line;
-  std::string fingerprint;
-  std::uint64_t line_no = 1;
-  if (!std::getline(in, line)) {
-    runtime::throw_parse_error(path, line_no, "line",
-                               "empty file (expected csv header)");
-  }
-  if (line.rfind(kFingerprintPrefix, 0) == 0) {
-    fingerprint = line.substr(sizeof(kFingerprintPrefix) - 1);
-    ++line_no;
-    if (!std::getline(in, line)) line.clear();
-  }
-  if (line != kHeader) {
-    runtime::throw_parse_error(path, line_no, "line",
-                               "unrecognized tslp csv header");
-  }
-  if (fingerprint_out) *fingerprint_out = fingerprint;
-  std::vector<TslpObservation> out;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    out.push_back(parse_tslp_row(line, path, line_no));
-  }
-  return out;
+  return runtime::load_rows_csv(path, kTslpRows, fingerprint_out);
 }
 
 std::vector<TslpObservation> load_or_generate_tslp2017(
     const std::string& cache_path, const Tslp2017Options& opt) {
-  const std::string want = tslp_fingerprint(opt);
-  if (std::filesystem::exists(cache_path)) {
-    try {
-      std::string have;
-      auto obs = load_tslp_csv(cache_path, &have);
-      if (have.empty() || have == want) return obs;
-    } catch (const runtime::ParseException&) {
-      // Corrupt cache: regenerate below instead of failing the caller.
-    }
-  }
-  Tslp2017Options resumable = opt;
-  if (resumable.checkpoint_path.empty()) {
-    resumable.checkpoint_path = cache_path + ".ckpt";
-  }
-  // A partial result (some slots failed permanently) must never become a
-  // fingerprinted cache hit: skip the cache write so the kept checkpoint
-  // drives a retry of only the failed slots on the next invocation.
-  std::vector<runtime::JobError> local_errors;
-  if (!resumable.errors_out) resumable.errors_out = &local_errors;
-  const std::size_t errors_before = resumable.errors_out->size();
-  std::function<void()> commit;
-  resumable.checkpoint_commit_out = &commit;
-  runtime::CampaignStats stats;
-  if (!resumable.stats_out) resumable.stats_out = &stats;
-  auto obs = generate_tslp2017(resumable);
-  if (resumable.errors_out->size() == errors_before) {
-    // Cache first, checkpoint removal second: a crash between the two only
-    // costs a cheap resume-with-nothing-pending, never recorded progress.
-    obs::TraceSpan span("campaign.cache_commit", "campaign");
-    save_tslp_csv(cache_path, obs, want);
-    if (commit) commit();
-  }
-  // Auditability side artifact (never read back, never fingerprinted).
-  runtime::write_file_atomic(
-      cache_path + ".metrics.json",
-      runtime::campaign_metrics_json(want, *resumable.stats_out));
-  return obs;
+  return runtime::load_or_run_campaign(cache_path, tslp_campaign(opt), opt);
 }
 
 }  // namespace ccsig::mlab

@@ -5,16 +5,12 @@
 // NDT tests run every 15 minutes during peak hours and hourly off-peak.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "mlab/path.h"
 #include "runtime/campaign.h"
-#include "runtime/fault_injection.h"
-#include "runtime/job_result.h"
 
 namespace ccsig::mlab {
 
@@ -35,7 +31,9 @@ struct TslpObservation {
   bool truth_external = false;  // interconnect demand > capacity in slot
 };
 
-struct Tslp2017Options {
+/// What the campaign computes (fingerprinted) plus how it executes (the
+/// CampaignOptions base, see runtime/campaign.h).
+struct Tslp2017Options : runtime::CampaignOptions {
   int days = 5;
   double plan_mbps = 25.0;
   double base_one_way_ms = 8.0;          // ~18 ms RTT with router hops
@@ -53,33 +51,6 @@ struct Tslp2017Options {
   /// non-default so historical caches stay valid.
   std::string ndt_cc = "cubic";
   std::uint64_t seed = 2017;
-  /// Worker threads: 0 = every hardware thread, 1 = serial. Output is
-  /// identical for any value (per-slot seeds are drawn in a deterministic
-  /// pre-pass, results collected in slot order).
-  int jobs = 0;
-  /// Progress callback; invocations are serialized even when `jobs > 1`.
-  std::function<void(std::size_t, std::size_t)> progress;
-
-  // --- Fault tolerance (see runtime/campaign.h) ---------------------------
-  /// Shard-checkpoint file for kill/resume; empty disables checkpointing.
-  /// load_or_generate_tslp2017 sets this to `<cache>.ckpt` automatically.
-  std::string checkpoint_path;
-  int checkpoint_every = 16;
-  runtime::RetryPolicy retry = runtime::RetryPolicy::attempts(2);
-  std::chrono::milliseconds soft_deadline{0};
-  bool abandon_on_deadline = false;
-  const runtime::FaultPlan* faults = nullptr;
-  /// Receives one JobError per slot that ultimately failed (the slot is
-  /// absent from the result). nullptr = discard errors.
-  std::vector<runtime::JobError>* errors_out = nullptr;
-  /// When non-null and every slot succeeded, receives a callback that
-  /// deletes the shard checkpoint; the checkpoint is kept until the caller
-  /// invokes it (after atomically writing the final CSV). See
-  /// runtime::CheckpointedRunOptions::commit_out.
-  std::function<void()>* checkpoint_commit_out = nullptr;
-  /// When non-null, receives the campaign's slot accounting
-  /// (restored/executed/failed/retried/abandoned counts).
-  runtime::CampaignStats* stats_out = nullptr;
 };
 
 /// Runs the multi-day campaign (one path snapshot per slot; peak slots every
@@ -91,26 +62,20 @@ std::vector<TslpObservation> generate_tslp2017(const Tslp2017Options& opt);
 /// self-induced (1); otherwise unlabeled (-1).
 int tslp_label(const TslpObservation& obs);
 
-/// One-line digest of every option affecting campaign content (not
-/// `jobs`/`progress`); embedded in cache CSVs to invalidate stale caches.
+/// One-line digest of every option affecting campaign content (no
+/// CampaignOptions field); embedded in cache CSVs to invalidate stale caches.
 std::string tslp_fingerprint(const Tslp2017Options& opt);
 
-/// Writes the observations atomically (temp file + rename).
+/// The TSLP cache CSV: runtime::save_rows_csv / load_rows_csv with the
+/// TSLP row format (see runtime/csv.h).
 void save_tslp_csv(const std::string& path,
                    const std::vector<TslpObservation>& obs,
                    const std::string& fingerprint = "");
-/// Malformed input raises runtime::ParseException (file, line, reason).
 std::vector<TslpObservation> load_tslp_csv(
     const std::string& path, std::string* fingerprint_out = nullptr);
 
-/// Loads `cache_path` when present and not stale (legacy caches without a
-/// fingerprint are trusted); otherwise generates — resuming from
-/// `<cache_path>.ckpt` when a matching checkpoint survives a previous
-/// kill — and atomically rewrites the cache. A corrupt cache is treated
-/// as stale, never fatal. A campaign with permanently failed slots returns
-/// its partial result but is NOT cached: the checkpoint is kept so the
-/// next invocation retries only the failed slots. On success the
-/// checkpoint is removed only after the cache CSV is safely on disk.
+/// generate_tslp2017 behind the campaign cache:
+/// runtime::load_or_run_campaign.
 std::vector<TslpObservation> load_or_generate_tslp2017(
     const std::string& cache_path, const Tslp2017Options& opt);
 

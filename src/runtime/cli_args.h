@@ -27,18 +27,25 @@ bool parse_count(const char* text, T& out, T lo = 0,
   return true;
 }
 
-/// Parses seconds in [0, 1e9] (int64 nanoseconds stay in range) into
-/// `out`; returns false, leaving `out` alone, on anything else.
-inline bool parse_seconds(const char* text, double& out) {
+/// Parses a finite decimal number in the interval from `lo` to `hi` into
+/// `out`; `open_lo` / `open_hi` exclude that endpoint. Returns false,
+/// leaving `out` alone, on anything else.
+inline bool parse_double(const char* text, double& out, double lo, double hi,
+                         bool open_lo = false, bool open_hi = false) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text, &end);
   if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v) ||
-      v < 0 || v > 1e9) {
+      v < lo || v > hi || (open_lo && v == lo) || (open_hi && v == hi)) {
     return false;
   }
   out = v;
   return true;
+}
+
+/// Seconds in [0, 1e9], so int64 nanoseconds stay in range.
+inline bool parse_seconds(const char* text, double& out) {
+  return parse_double(text, out, 0, 1e9);
 }
 
 }  // namespace ccsig::runtime

@@ -1,11 +1,8 @@
 #include "testbed/sweep.h"
 
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 
-#include "runtime/atomic_file.h"
 #include "runtime/campaign.h"
 #include "runtime/csv.h"
 #include "sim/random.h"
@@ -15,15 +12,6 @@
 namespace ccsig::testbed {
 
 namespace {
-constexpr char kCsvHeader[] =
-    "norm_diff,cov,rtt_slope,rtt_iqr,slow_start_tput_bps,flow_tput_bps,"
-    "access_capacity_bps,scenario,access_rate_mbps,access_latency_ms,"
-    "access_loss,access_buffer_ms";
-constexpr char kFingerprintPrefix[] = "# options: ";
-/// Checkpoint marker for a run that completed but produced no sample
-/// (features unavailable) — still "done", must not be re-run on resume.
-constexpr char kNoSampleRow[] = "-";
-
 void append_doubles(std::ostream& out, const std::vector<double>& v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i) out << '|';
@@ -31,8 +19,6 @@ void append_doubles(std::ostream& out, const std::vector<double>& v) {
   }
 }
 
-/// The one formatter behind both the cache CSV and the shard checkpoint:
-/// byte-identical rows are what make kill/resume reproducible.
 std::string format_sample_row(const SweepSample& s) {
   std::ostringstream out;
   out.precision(17);
@@ -64,7 +50,15 @@ SweepSample parse_sample_row(const std::string& line, const std::string& file,
   return s;
 }
 
-/// Runs one grid point and reduces it to its (optional) sample.
+constexpr runtime::RowFormat<SweepSample> kSampleRows{
+    "sweep",
+    "norm_diff,cov,rtt_slope,rtt_iqr,slow_start_tput_bps,flow_tput_bps,"
+    "access_capacity_bps,scenario,access_rate_mbps,access_latency_ms,"
+    "access_loss,access_buffer_ms",
+    format_sample_row, parse_sample_row};
+
+/// Runs one grid point and reduces it to its sample; nullopt when the
+/// features are unavailable.
 std::optional<SweepSample> run_one(const TestbedConfig& cfg) {
   const TestResult r = run_testbed_experiment(cfg);
   if (!r.features) return std::nullopt;
@@ -86,14 +80,13 @@ std::optional<SweepSample> run_one(const TestbedConfig& cfg) {
   return s;
 }
 
-}  // namespace
-
-std::vector<SweepSample> run_sweep(const SweepOptions& opt) {
-  // Deterministic pre-pass: enumerate the grid in the canonical order and
-  // draw every run's seed up front. A run's seed depends only on its slot
-  // in the enumeration — never on execution order — so the parallel sweep
-  // reproduces the serial one exactly, and a resumed sweep reproduces an
-  // uninterrupted one.
+/// The sweep as a campaign. Deterministic pre-pass: enumerate the grid in
+/// the canonical order and draw every run's seed up front. A run's seed
+/// depends only on its slot in the enumeration — never on execution order
+/// — so the parallel sweep reproduces the serial one exactly, and a
+/// resumed sweep reproduces an uninterrupted one.
+runtime::Campaign<TestbedConfig, SweepSample> sweep_campaign(
+    const SweepOptions& opt) {
   std::vector<TestbedConfig> runs;
   runs.reserve(opt.access_rates_mbps.size() * opt.access_latencies_ms.size() *
                opt.access_losses.size() * opt.access_buffers_ms.size() * 2 *
@@ -130,42 +123,15 @@ std::vector<SweepSample> run_sweep(const SweepOptions& opt) {
   // trajectory per sweep without recording thousands of flows.
   if (opt.telemetry && !runs.empty()) runs.front().telemetry = opt.telemetry;
 
-  runtime::CheckpointedRunOptions ropt;
-  ropt.checkpoint_path = opt.checkpoint_path;
-  ropt.fingerprint = sweep_fingerprint(opt);
-  ropt.checkpoint_every = opt.checkpoint_every;
-  ropt.jobs = opt.jobs;
-  ropt.retry = opt.retry;
-  ropt.soft_deadline = opt.soft_deadline;
-  ropt.abandon_on_deadline = opt.abandon_on_deadline;
-  ropt.faults = opt.faults;
-  ropt.progress = opt.progress;
-  // By value: abandoned jobs may report errors after this frame is gone.
-  std::vector<std::uint64_t> seeds(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) seeds[i] = runs[i].seed;
-  ropt.seed_of = [seeds](std::size_t slot) { return seeds[slot]; };
-  ropt.errors_out = opt.errors_out;
-  ropt.commit_out = opt.checkpoint_commit_out;
-  ropt.stats_out = opt.stats_out;
+  return {std::move(runs), run_one,
+          [](const TestbedConfig& cfg) { return cfg.seed; },
+          sweep_fingerprint(opt), &kSampleRows};
+}
 
-  const auto slots = runtime::run_checkpointed(
-      runs, run_one,
-      [](const std::optional<SweepSample>& s) {
-        return s ? format_sample_row(*s) : std::string(kNoSampleRow);
-      },
-      [&ropt](const std::string& line) -> std::optional<SweepSample> {
-        if (line == kNoSampleRow) return std::nullopt;
-        return parse_sample_row(line, ropt.checkpoint_path, 0);
-      },
-      ropt);
+}  // namespace
 
-  // Collect in slot order so the sample sequence matches the serial loop.
-  std::vector<SweepSample> samples;
-  samples.reserve(slots.size());
-  for (const auto& slot : slots) {
-    if (slot && *slot) samples.push_back(**slot);
-  }
-  return samples;
+std::vector<SweepSample> run_sweep(const SweepOptions& opt) {
+  return runtime::run_campaign(sweep_campaign(opt), opt);
 }
 
 int label_sample(const SweepSample& s, double threshold) {
@@ -223,88 +189,17 @@ std::string sweep_fingerprint(const SweepOptions& opt) {
 void save_samples_csv(const std::string& path,
                       const std::vector<SweepSample>& samples,
                       const std::string& fingerprint) {
-  std::ostringstream out;
-  if (!fingerprint.empty()) out << kFingerprintPrefix << fingerprint << "\n";
-  out << kCsvHeader << "\n";
-  for (const SweepSample& s : samples) out << format_sample_row(s) << "\n";
-  runtime::write_file_atomic(path, out.str());
+  runtime::save_rows_csv(path, samples, kSampleRows, fingerprint);
 }
 
 std::vector<SweepSample> load_samples_csv(const std::string& path,
                                           std::string* fingerprint_out) {
-  std::ifstream in(path);
-  if (!in) {
-    runtime::throw_parse_error(path, 0, "line", "cannot read sweep csv");
-  }
-  std::string line;
-  std::string fingerprint;
-  std::uint64_t line_no = 1;
-  if (!std::getline(in, line)) {
-    runtime::throw_parse_error(path, line_no, "line",
-                               "empty file (expected csv header)");
-  }
-  if (line.rfind(kFingerprintPrefix, 0) == 0) {
-    fingerprint = line.substr(sizeof(kFingerprintPrefix) - 1);
-    ++line_no;
-    if (!std::getline(in, line)) line.clear();
-  }
-  if (line != kCsvHeader) {
-    runtime::throw_parse_error(path, line_no, "line",
-                               "unrecognized sweep csv header");
-  }
-  if (fingerprint_out) *fingerprint_out = fingerprint;
-  std::vector<SweepSample> samples;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    samples.push_back(parse_sample_row(line, path, line_no));
-  }
-  return samples;
+  return runtime::load_rows_csv(path, kSampleRows, fingerprint_out);
 }
 
 std::vector<SweepSample> load_or_run_sweep(const std::string& cache_path,
                                            const SweepOptions& opt) {
-  const std::string want = sweep_fingerprint(opt);
-  if (std::filesystem::exists(cache_path)) {
-    try {
-      std::string have;
-      auto samples = load_samples_csv(cache_path, &have);
-      // Legacy caches predate fingerprinting; trust them as before. A
-      // fingerprinted cache written under different options is stale.
-      if (have.empty() || have == want) return samples;
-    } catch (const runtime::ParseException&) {
-      // Corrupt cache: regenerate below instead of failing the caller.
-    }
-  }
-  SweepOptions resumable = opt;
-  if (resumable.checkpoint_path.empty()) {
-    resumable.checkpoint_path = cache_path + ".ckpt";
-  }
-  // A partial result (some runs failed permanently) must never become a
-  // fingerprinted cache hit: skip the cache write so the kept checkpoint
-  // drives a retry of only the failed slots on the next invocation.
-  std::vector<runtime::JobError> local_errors;
-  if (!resumable.errors_out) resumable.errors_out = &local_errors;
-  const std::size_t errors_before = resumable.errors_out->size();
-  std::function<void()> commit;
-  resumable.checkpoint_commit_out = &commit;
-  runtime::CampaignStats stats;
-  if (!resumable.stats_out) resumable.stats_out = &stats;
-  auto samples = run_sweep(resumable);
-  if (resumable.errors_out->size() == errors_before) {
-    // Cache first, checkpoint removal second: a crash between the two only
-    // costs a cheap resume-with-nothing-pending, never recorded progress.
-    obs::TraceSpan span("campaign.cache_commit", "campaign");
-    save_samples_csv(cache_path, samples, want);
-    if (commit) commit();
-  }
-  // Auditability side artifact (never read back, never fingerprinted):
-  // the campaign's slot accounting + the process metrics snapshot. Written
-  // on partial failure too, so a retry storm leaves evidence.
-  runtime::write_file_atomic(
-      cache_path + ".metrics.json",
-      runtime::campaign_metrics_json(want, *resumable.stats_out));
-  return samples;
+  return runtime::load_or_run_campaign(cache_path, sweep_campaign(opt), opt);
 }
 
 }  // namespace ccsig::testbed

@@ -4,16 +4,12 @@
 // expensive sweeps run once per machine.
 #pragma once
 
-#include <chrono>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "ml/dataset.h"
 #include "obs/flow_telemetry.h"
 #include "runtime/campaign.h"
-#include "runtime/fault_injection.h"
-#include "runtime/job_result.h"
 #include "testbed/config.h"
 
 namespace ccsig::testbed {
@@ -35,7 +31,9 @@ struct SweepSample {
   double access_buffer_ms = 0;
 };
 
-struct SweepOptions {
+/// What the sweep computes (every field but `telemetry` is fingerprinted)
+/// plus how it executes (the CampaignOptions base, see runtime/campaign.h).
+struct SweepOptions : runtime::CampaignOptions {
   std::vector<double> access_rates_mbps = {10, 20, 50};
   std::vector<double> access_latencies_ms = {20, 40};
   std::vector<double> access_losses = {0.0002, 0.0005};
@@ -47,49 +45,11 @@ struct SweepOptions {
   int tgcong_flows = 100;
   std::string congestion_control = "reno";
   std::uint64_t seed = 42;
-  /// Worker threads for the sweep: 0 = every hardware thread, 1 = the
-  /// legacy serial path. Output is byte-identical for any value — each
-  /// run's seed is drawn in a deterministic pre-pass over the grid and
-  /// results are collected in enumeration order.
-  int jobs = 0;
-  /// Called after each test with (done, total) for progress reporting.
-  /// Need not be thread-safe: invocations are serialized even when
-  /// `jobs > 1`.
-  std::function<void(std::size_t, std::size_t)> progress;
 
-  // --- Fault tolerance (see runtime/campaign.h) ---------------------------
-  /// Shard-checkpoint file for kill/resume; empty disables checkpointing.
-  /// load_or_run_sweep sets this to `<cache>.ckpt` automatically.
-  std::string checkpoint_path;
-  int checkpoint_every = 16;
-  /// Per-run retry policy; transient failures (injected faults, I/O
-  /// hiccups) are re-run with deterministic backoff.
-  runtime::RetryPolicy retry = runtime::RetryPolicy::attempts(2);
-  /// Per-run soft deadline (wall clock); 0 = no watchdog. With
-  /// `abandon_on_deadline` a stuck run is reported as a kTimeout JobError
-  /// instead of hanging the sweep.
-  std::chrono::milliseconds soft_deadline{0};
-  bool abandon_on_deadline = false;
-  /// Deterministic fault injection (tests); nullptr = none.
-  const runtime::FaultPlan* faults = nullptr;
-  /// Receives one JobError per run that ultimately failed; such runs are
-  /// simply absent from the returned samples. nullptr = discard errors.
-  std::vector<runtime::JobError>* errors_out = nullptr;
-  /// When non-null and every run succeeded, receives a callback that
-  /// deletes the shard checkpoint; the checkpoint is kept until the caller
-  /// invokes it (after atomically writing the final CSV). When null, a
-  /// fully successful sweep removes its checkpoint before returning. See
-  /// runtime::CheckpointedRunOptions::commit_out.
-  std::function<void()>* checkpoint_commit_out = nullptr;
-
-  // --- Observability (see src/obs) ----------------------------------------
   /// Optional telemetry sink attached to the FIRST run of the enumeration
   /// (the exemplar flow); all other runs stay untouched. Excluded from the
   /// fingerprint — purely observational, never changes sweep content.
   obs::FlowTelemetryRecorder* telemetry = nullptr;
-  /// When non-null, receives the campaign's slot accounting
-  /// (restored/executed/failed/retried/abandoned; see runtime::CampaignStats).
-  runtime::CampaignStats* stats_out = nullptr;
 };
 
 /// Runs the full sweep; both scenarios for every combination.
@@ -105,34 +65,20 @@ ml::Dataset make_dataset(const std::vector<SweepSample>& samples,
 int label_sample(const SweepSample& s, double threshold);
 
 /// Canonical one-line digest of every option that affects sweep *content*
-/// (grids, reps, scale, durations, cc, seed — not `jobs` or `progress`).
+/// (grids, reps, scale, durations, cc, seed — no CampaignOptions field).
 /// Embedded in cache CSVs so stale caches are detected and regenerated.
 std::string sweep_fingerprint(const SweepOptions& opt);
 
-/// Writes the samples atomically (temp file + rename); when `fingerprint`
-/// is non-empty it is embedded as a leading `# options: …` comment line
-/// (load_samples_csv returns it).
+/// The samples cache CSV: runtime::save_rows_csv / load_rows_csv with the
+/// sweep's row format (see runtime/csv.h).
 void save_samples_csv(const std::string& path,
                       const std::vector<SweepSample>& samples,
                       const std::string& fingerprint = "");
-
-/// Reads a samples CSV. Accepts both the fingerprinted format and the
-/// legacy header-first format; when `fingerprint_out` is non-null it
-/// receives the embedded fingerprint ("" for legacy files). Malformed
-/// input raises runtime::ParseException (file, line, reason).
 std::vector<SweepSample> load_samples_csv(const std::string& path,
                                           std::string* fingerprint_out =
                                               nullptr);
 
-/// Loads `cache_path` when it exists, parses cleanly, and its embedded
-/// fingerprint matches `opt` (legacy caches without a fingerprint are
-/// trusted as-is); otherwise runs the sweep — resuming from
-/// `<cache_path>.ckpt` when a matching checkpoint survives a previous
-/// kill — and atomically rewrites the cache with a fingerprint. A corrupt
-/// cache is treated as stale, never fatal. A sweep with permanently failed
-/// runs returns its partial samples but is NOT cached: the checkpoint is
-/// kept so the next invocation retries only the failed slots. On success
-/// the checkpoint is removed only after the cache CSV is safely on disk.
+/// run_sweep behind the campaign cache: runtime::load_or_run_campaign.
 std::vector<SweepSample> load_or_run_sweep(const std::string& cache_path,
                                            const SweepOptions& opt);
 

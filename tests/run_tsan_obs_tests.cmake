@@ -2,8 +2,9 @@
 # concurrency tests, and runs them there. Registered as the
 # `obs_tests_tsan` ctest by tests/CMakeLists.txt (only when the main build
 # is unsanitized), so a plain `ctest` also proves the metrics shards, the
-# window aggregator fed from the service loop, and the admin socket answer
-# path are race-free under -fsanitize=thread.
+# window aggregator fed from the service loop, the admin socket answer
+# path, and the service tests that drive a daemon thread from the test
+# thread (hot reload, stop) are race-free under -fsanitize=thread.
 #
 # Invoked as:
 #   cmake -DSOURCE_DIR=<repo> -DBUILD_DIR=<build>/obs-tsan
@@ -19,6 +20,8 @@ set(tests
   obs_concurrency_test
   obs_window_test
   service_admin_test
+  service_fault_test
+  service_test
 )
 
 message(STATUS "[obs-tsan] configuring TSan tree in ${BUILD_DIR}")

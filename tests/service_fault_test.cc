@@ -165,15 +165,19 @@ TEST_F(ServiceFaultTest, ModelFileCorruptedMidRunIsRejected) {
   cfg.sources.push_back(sc);
   cfg.verdict_log_path = dir_ + "/midrun.log";
   cfg.model_path = model;
+  // Progress is observed through the event log: stats() belongs to the
+  // service thread until join().
+  testutil::EventFile events(dir_ + "/midrun.events");
+  cfg.events = events.log();
+  cfg.metrics_interval_ms = 1;  // a `metrics` event carries records=N
   ClassificationService svc(std::move(cfg));
   std::thread t([&svc] { svc.run(); });
 
   // Wait until the service is past setup (the model load) and serving —
   // corrupting the file any earlier races the startup load.
-  for (int i = 0; i < 500 && svc.stats().records_ingested == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GT(svc.stats().records_ingested, 0u);
+  ASSERT_TRUE(events.wait_for("metrics", [](const std::string& line) {
+    return line.find(" records=0 ") == std::string::npos;
+  }));
 
   // Corrupt the model on disk, then ask for a reload: the daemon must
   // reject it, keep the old model, and keep classifying.
@@ -182,9 +186,7 @@ TEST_F(ServiceFaultTest, ModelFileCorruptedMidRunIsRejected) {
     out << "garbage that is not a serialized tree";
   }
   svc.request_reload();
-  for (int i = 0; i < 500 && svc.stats().model_reloads_rejected == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  EXPECT_TRUE(events.wait_for("model_reload_rejected"));
   svc.request_stop();
   t.join();
 

@@ -184,18 +184,17 @@ TEST_F(ServiceTest, HotReloadSwapsValidModelAndRejectsCorruptOne) {
   cfg.sources.push_back(sc);
   cfg.verdict_log_path = dir_ + "/reload.log";
   cfg.model_path = model;
+  // Progress is observed through the event log: stats() belongs to the
+  // service thread until join().
+  testutil::EventFile events(dir_ + "/reload.events");
+  cfg.events = events.log();
   ClassificationService svc(std::move(cfg));
 
   std::thread t([&svc] { svc.run(); });
-  const auto wait_for = [&svc](auto pred) {
-    for (int i = 0; i < 500 && !pred(); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  };
 
   // Valid reload.
   svc.request_reload();
-  wait_for([&svc] { return svc.stats().model_reloads >= 1; });
+  EXPECT_TRUE(events.wait_for("model_reloaded"));
 
   // Corrupt the model file: the reload must be rejected and the daemon
   // must keep serving with the old model.
@@ -204,7 +203,7 @@ TEST_F(ServiceTest, HotReloadSwapsValidModelAndRejectsCorruptOne) {
     out << "not a decision tree\n";
   }
   svc.request_reload();
-  wait_for([&svc] { return svc.stats().model_reloads_rejected >= 1; });
+  EXPECT_TRUE(events.wait_for("model_reload_rejected"));
 
   svc.request_stop();
   t.join();

@@ -1,17 +1,23 @@
 // Shared fixtures for integration-style tests: a minimal two-node network
 // with one shaped bottleneck link, plus helpers to run TCP transfers on it,
-// a shared quick testbed configuration, and a seeded random multi-flow
-// capture generator.
+// a shared quick testbed configuration, a seeded random multi-flow
+// capture generator, and a pollable event log for daemon tests.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/trace_recorder.h"
 #include "pcap/capture.h"
+#include "runtime/event_log.h"
 #include "sim/network.h"
 #include "tcp/tcp_sink.h"
 #include "tcp/tcp_source.h"
@@ -165,5 +171,52 @@ inline int write_random_capture(std::uint64_t seed,
   tap.flush();
   return flows;
 }
+
+/// An EventLog backed by a file the test thread can poll. A service owns
+/// its stats on its own thread, so a test must not read them while it
+/// runs; an event line, in contrast, appears only after the service thread
+/// logged it, and reading the file shares no memory with that thread.
+class EventFile {
+ public:
+  explicit EventFile(std::string path)
+      : path_(std::move(path)),
+        file_(std::fopen(path_.c_str(), "w")),
+        log_("test", file_) {}
+  ~EventFile() {
+    if (file_) std::fclose(file_);
+  }
+  EventFile(const EventFile&) = delete;
+  EventFile& operator=(const EventFile&) = delete;
+
+  runtime::EventLog* log() { return &log_; }
+
+  /// Polls for up to 5 s until a line logging exactly `event` satisfies
+  /// `pred` (called with the whole line).
+  template <typename Pred>
+  bool wait_for(std::string_view event, Pred pred) const {
+    const std::string needle = " event=" + std::string(event);
+    for (int i = 0; i <= 500; ++i) {
+      std::ifstream in(path_);
+      for (std::string line; std::getline(in, line);) {
+        const std::size_t at = line.find(needle);
+        const std::size_t end = at + needle.size();
+        if (at != std::string::npos &&
+            (end == line.size() || line[end] == ' ') && pred(line)) {
+          return true;
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  }
+  bool wait_for(std::string_view event) const {
+    return wait_for(event, [](const std::string&) { return true; });
+  }
+
+ private:
+  std::string path_;
+  std::FILE* file_;
+  runtime::EventLog log_;
+};
 
 }  // namespace ccsig::testutil

@@ -5,6 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <vector>
+
+#include "mlab/dispute2014.h"
+#include "mlab/tslp2017.h"
+#include "runtime/fault_injection.h"
 
 namespace ccsig::testbed {
 namespace {
@@ -117,11 +122,49 @@ TEST(SweepCsv, FingerprintRoundTrips) {
   EXPECT_DOUBLE_EQ(loaded[0].norm_diff, samples[0].norm_diff);
 }
 
+/// Sets every CampaignOptions field away from its default. Execution
+/// settings must never reach a fingerprint, or changing --jobs would
+/// invalidate every cache.
+void set_every_execution_field(runtime::CampaignOptions& opt,
+                               const runtime::FaultPlan& faults,
+                               std::vector<runtime::JobError>& errors,
+                               runtime::CampaignStats& stats) {
+  opt.jobs = 16;
+  opt.progress = [](std::size_t, std::size_t) {};
+  opt.checkpoint_path = "elsewhere.ckpt";
+  opt.checkpoint_every = 3;
+  opt.retry = runtime::RetryPolicy::attempts(7);
+  opt.faults = &faults;
+  opt.errors_out = &errors;
+  opt.stats_out = &stats;
+}
+
 TEST(SweepFingerprint, SensitiveToContentOptionsOnly) {
+  const runtime::FaultPlan faults(5, runtime::FaultSpec{});
+  std::vector<runtime::JobError> errors;
+  runtime::CampaignStats stats;
+  {
+    mlab::Dispute2014Options a;
+    mlab::Dispute2014Options b = a;
+    set_every_execution_field(b, faults, errors, stats);
+    EXPECT_EQ(mlab::dispute_fingerprint(a), mlab::dispute_fingerprint(b));
+    b.tests_per_cell = a.tests_per_cell + 1;
+    EXPECT_NE(mlab::dispute_fingerprint(a), mlab::dispute_fingerprint(b));
+  }
+  {
+    mlab::Tslp2017Options a;
+    mlab::Tslp2017Options b = a;
+    set_every_execution_field(b, faults, errors, stats);
+    EXPECT_EQ(mlab::tslp_fingerprint(a), mlab::tslp_fingerprint(b));
+    b.days = a.days + 1;
+    EXPECT_NE(mlab::tslp_fingerprint(a), mlab::tslp_fingerprint(b));
+  }
   SweepOptions a;
   SweepOptions b = a;
   EXPECT_EQ(sweep_fingerprint(a), sweep_fingerprint(b));
-  b.jobs = 16;  // execution knobs must not invalidate caches
+  set_every_execution_field(b, faults, errors, stats);
+  obs::FlowTelemetryRecorder telemetry;
+  b.telemetry = &telemetry;  // observational only
   EXPECT_EQ(sweep_fingerprint(a), sweep_fingerprint(b));
   b.reps = a.reps + 1;
   EXPECT_NE(sweep_fingerprint(a), sweep_fingerprint(b));

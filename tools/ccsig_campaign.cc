@@ -21,9 +21,10 @@
 // speed (~ms/row vs ~µs/row).
 //
 // Exit status: 0 campaign complete, 1 stopped early (--max-chunks) or rows
-// failed permanently, 2 usage error, 3 unreadable/mismatched store.
+// failed permanently, 2 usage error (including any malformed or
+// out-of-range number), 3 unreadable/mismatched store.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -31,6 +32,7 @@
 #include "mlab/scale.h"
 #include "obs/tool_obs.h"
 #include "runtime/atomic_file.h"
+#include "runtime/cli_args.h"
 #include "runtime/parse_error.h"
 #include "runtime/progress.h"
 
@@ -39,26 +41,36 @@ int main(int argc, char** argv) {
   std::string csv_out, summary_out, metrics_path, trace_path;
   bool quiet = false;
 
+  using ccsig::runtime::parse_count;
   for (int i = 1; i < argc; ++i) {
-    const auto has_value = [&](const char* flag) {
-      return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
+    const char* flag = argv[i];
+    const auto has_value = [&](const char* name) {
+      return std::strcmp(flag, name) == 0 && i + 1 < argc;
+    };
+    // Exit 2 naming the flag and the value just consumed.
+    const auto bad = [&] {
+      std::fprintf(stderr, "%s: invalid value '%s'\n", flag, argv[i]);
+      return 2;
     };
     if (has_value("--store")) {
       opt.store_path = argv[++i];
     } else if (has_value("--rows")) {
-      opt.total_rows = std::strtoull(argv[++i], nullptr, 10);
+      // 0 = the full grid implied by --tests-per-cell.
+      if (!parse_count(argv[++i], opt.total_rows)) return bad();
     } else if (has_value("--chunk")) {
-      opt.chunk_rows = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_count(argv[++i], opt.chunk_rows, std::uint64_t{1})) {
+        return bad();
+      }
     } else if (has_value("--jobs")) {
-      opt.base.jobs = std::atoi(argv[++i]);
+      if (!parse_count(argv[++i], opt.base.jobs)) return bad();
     } else if (has_value("--seed")) {
-      opt.base.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_count(argv[++i], opt.base.seed)) return bad();
     } else if (has_value("--tests-per-cell")) {
-      opt.base.tests_per_cell = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--full-sim") == 0) {
+      if (!parse_count(argv[++i], opt.base.tests_per_cell, 1)) return bad();
+    } else if (std::strcmp(flag, "--full-sim") == 0) {
       opt.analytic = false;
     } else if (has_value("--max-chunks")) {
-      opt.max_chunks_this_run = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_count(argv[++i], opt.max_chunks_this_run)) return bad();
     } else if (has_value("--csv-out")) {
       csv_out = argv[++i];
     } else if (has_value("--summary-out")) {
@@ -67,7 +79,7 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (has_value("--trace-out")) {
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
+    } else if (std::strcmp(flag, "--quiet") == 0) {
       quiet = true;
     } else {
       std::fprintf(

@@ -40,6 +40,7 @@
 #include "obs/tool_obs.h"
 #include "pcap/capture.h"
 #include "runtime/atomic_file.h"
+#include "runtime/cli_args.h"
 #include "runtime/parallel_map.h"
 #include "runtime/parse_error.h"
 #include "runtime/progress.h"
@@ -56,6 +57,12 @@ int run_tool(ccsig::testbed::TestbedConfig cfg, int reps, int jobs,
 
 int main(int argc, char** argv) {
   using namespace ccsig;
+  using runtime::parse_count;
+  using runtime::parse_double;
+  // Cap on --rate (Mbps), --latency and --buffer (ms): far beyond any
+  // modeled access link, and small enough that derived nanosecond times
+  // stay in range.
+  constexpr double kMaxPath = 1e6;
   testbed::TestbedConfig cfg;
   cfg.test_duration = sim::from_seconds(8);
   cfg.warmup = sim::from_seconds(2.5);
@@ -69,56 +76,74 @@ int main(int argc, char** argv) {
   std::string telemetry_path;
   bool quiet = false;
 
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--external] [--rate MBPS] [--latency MS] "
+                 "[--loss P] [--buffer MS] [--duration S] [--cc NAME] "
+                 "[--seed N] [--reps N] [--jobs N] [--pcap FILE] "
+                 "[--metrics-out FILE] [--metrics-prom FILE] "
+                 "[--trace-out FILE] "
+                 "[--flow-telemetry FILE] [--quiet]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
+    const char* flag = argv[i];
+    const bool has_value = i + 1 < argc;
+    // Exit 2 naming the flag and the value just consumed.
+    const auto bad = [&] {
+      std::fprintf(stderr, "%s: invalid value '%s'\n", flag, argv[i]);
+      return 2;
     };
-    if (std::strcmp(argv[i], "--external") == 0) {
+    double secs = 0;
+    if (std::strcmp(flag, "--external") == 0) {
       cfg.scenario = testbed::Scenario::kExternal;
-    } else if (std::strcmp(argv[i], "--rate") == 0) {
-      cfg.access_rate_mbps = std::atof(next("--rate"));
-    } else if (std::strcmp(argv[i], "--latency") == 0) {
-      cfg.access_latency_ms = std::atof(next("--latency"));
-    } else if (std::strcmp(argv[i], "--loss") == 0) {
-      cfg.access_loss = std::atof(next("--loss"));
-    } else if (std::strcmp(argv[i], "--buffer") == 0) {
-      cfg.access_buffer_ms = std::atof(next("--buffer"));
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      cfg.test_duration = sim::from_seconds(std::atof(next("--duration")));
-    } else if (std::strcmp(argv[i], "--cc") == 0) {
-      cfg.congestion_control = next("--cc");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(next("--reps"));
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::atoi(next("--jobs"));
-    } else if (std::strcmp(argv[i], "--pcap") == 0) {
-      pcap_path = next("--pcap");
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_path = next("--metrics-out");
-    } else if (std::strcmp(argv[i], "--metrics-prom") == 0) {
-      metrics_prom_path = next("--metrics-prom");
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_path = next("--trace-out");
-    } else if (std::strcmp(argv[i], "--flow-telemetry") == 0) {
-      telemetry_path = next("--flow-telemetry");
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
+    } else if (std::strcmp(flag, "--rate") == 0 && has_value) {
+      if (!parse_double(argv[++i], cfg.access_rate_mbps, 0, kMaxPath,
+                        /*open_lo=*/true)) {
+        return bad();
+      }
+    } else if (std::strcmp(flag, "--latency") == 0 && has_value) {
+      if (!parse_double(argv[++i], cfg.access_latency_ms, 0, kMaxPath)) {
+        return bad();
+      }
+    } else if (std::strcmp(flag, "--loss") == 0 && has_value) {
+      if (!parse_double(argv[++i], cfg.access_loss, 0, 1, /*open_lo=*/false,
+                        /*open_hi=*/true)) {
+        return bad();
+      }
+    } else if (std::strcmp(flag, "--buffer") == 0 && has_value) {
+      if (!parse_double(argv[++i], cfg.access_buffer_ms, 0, kMaxPath,
+                        /*open_lo=*/true)) {
+        return bad();
+      }
+    } else if (std::strcmp(flag, "--duration") == 0 && has_value) {
+      if (!parse_double(argv[++i], secs, 0, 1e9, /*open_lo=*/true)) {
+        return bad();
+      }
+      cfg.test_duration = sim::from_seconds(secs);
+    } else if (std::strcmp(flag, "--cc") == 0 && has_value) {
+      cfg.congestion_control = argv[++i];
+    } else if (std::strcmp(flag, "--seed") == 0 && has_value) {
+      if (!parse_count(argv[++i], cfg.seed)) return bad();
+    } else if (std::strcmp(flag, "--reps") == 0 && has_value) {
+      if (!parse_count(argv[++i], reps, 1)) return bad();
+    } else if (std::strcmp(flag, "--jobs") == 0 && has_value) {
+      if (!parse_count(argv[++i], jobs)) return bad();
+    } else if (std::strcmp(flag, "--pcap") == 0 && has_value) {
+      pcap_path = argv[++i];
+    } else if (std::strcmp(flag, "--metrics-out") == 0 && has_value) {
+      metrics_path = argv[++i];
+    } else if (std::strcmp(flag, "--metrics-prom") == 0 && has_value) {
+      metrics_prom_path = argv[++i];
+    } else if (std::strcmp(flag, "--trace-out") == 0 && has_value) {
+      trace_path = argv[++i];
+    } else if (std::strcmp(flag, "--flow-telemetry") == 0 && has_value) {
+      telemetry_path = argv[++i];
+    } else if (std::strcmp(flag, "--quiet") == 0) {
       quiet = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--external] [--rate MBPS] [--latency MS] "
-                   "[--loss P] [--buffer MS] [--duration S] [--cc NAME] "
-                   "[--seed N] [--reps N] [--jobs N] [--pcap FILE] "
-                   "[--metrics-out FILE] [--metrics-prom FILE] "
-                   "[--trace-out FILE] "
-                   "[--flow-telemetry FILE] [--quiet]\n",
-                   argv[0]);
-      return 2;
+      return usage();
     }
   }
   // Resolve --cc up front so a typo is a usage error with the full menu,

@@ -33,6 +33,7 @@
 #include "obs/flow_telemetry.h"
 #include "obs/tool_obs.h"
 #include "runtime/atomic_file.h"
+#include "runtime/cli_args.h"
 #include "runtime/parse_error.h"
 #include "runtime/progress.h"
 #include "testbed/sweep.h"
@@ -46,6 +47,8 @@ int run_tool(const std::string& csv, const std::string& out_path,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using ccsig::runtime::parse_count;
+  using ccsig::runtime::parse_double;
   std::vector<const char*> positional;
   int jobs = 0;  // 0 = all hardware threads
   int reps = 5;
@@ -53,31 +56,7 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string trace_path;
   std::string telemetry_path;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::atoi(next("--jobs"));
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(next("--reps"));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      metrics_path = next("--metrics-out");
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      trace_path = next("--trace-out");
-    } else if (std::strcmp(argv[i], "--flow-telemetry") == 0) {
-      telemetry_path = next("--flow-telemetry");
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 2) {
+  const auto usage = [&] {
     std::fprintf(stderr,
                  "usage: %s <sweep.csv> <output.inc> [threshold=0.8] "
                  "[depth=4] [--jobs N] [--reps N] [--seed N] "
@@ -85,17 +64,45 @@ int main(int argc, char** argv) {
                  "[--flow-telemetry FILE]\n",
                  argv[0]);
     return 2;
+  };
+  // Exit 2 naming the argument and the value that failed to parse.
+  const auto bad = [](const char* what, const char* value) {
+    std::fprintf(stderr, "%s: invalid value '%s'\n", what, value);
+    return 2;
+  };
+  for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(flag, "--jobs") == 0 && has_value) {
+      if (!parse_count(argv[++i], jobs)) return bad(flag, argv[i]);
+    } else if (std::strcmp(flag, "--reps") == 0 && has_value) {
+      if (!parse_count(argv[++i], reps, 1)) return bad(flag, argv[i]);
+    } else if (std::strcmp(flag, "--seed") == 0 && has_value) {
+      if (!parse_count(argv[++i], seed)) return bad(flag, argv[i]);
+    } else if (std::strcmp(flag, "--metrics-out") == 0 && has_value) {
+      metrics_path = argv[++i];
+    } else if (std::strcmp(flag, "--trace-out") == 0 && has_value) {
+      trace_path = argv[++i];
+    } else if (std::strcmp(flag, "--flow-telemetry") == 0 && has_value) {
+      telemetry_path = argv[++i];
+    } else if (flag[0] == '-' && flag[1] == '-') {
+      return usage();  // unknown or valueless flag
+    } else {
+      positional.push_back(flag);
+    }
   }
+  if (positional.size() < 2 || positional.size() > 4) return usage();
   const std::string csv = positional[0];
   const std::string out_path = positional[1];
+  // The labeling threshold is a fraction of the access capacity.
   double threshold = 0.8;
   int depth = 4;
-  try {
-    if (positional.size() > 2) threshold = std::stod(positional[2]);
-    if (positional.size() > 3) depth = std::stoi(positional[3]);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "bad threshold/depth argument\n");
-    return 2;
+  if (positional.size() > 2 &&
+      !parse_double(positional[2], threshold, 0, 1, /*open_lo=*/true)) {
+    return bad("threshold", positional[2]);
+  }
+  if (positional.size() > 3 && !parse_count(positional[3], depth, 1)) {
+    return bad("depth", positional[3]);
   }
 
   try {
