@@ -11,8 +11,9 @@
 //
 // run_checkpointed is the execution core. Given the item list it
 //   1. restores completed slots from a fingerprinted shard checkpoint,
-//   2. runs the remaining slots under parallel_map_supervised (bounded
-//      retries, deterministic backoff, fault injection),
+//   2. runs the remaining slots on parallel_map, each through
+//      run_supervised (kCampaignRetry attempts, fault injection keyed by
+//      the campaign slot),
 //   3. records each completed slot's serialized row back into the
 //      checkpoint (atomic rewrite every `checkpoint_every` completions),
 //   4. reports per-slot failures instead of aborting the campaign.
@@ -40,6 +41,7 @@
 #include "obs/trace.h"
 #include "runtime/checkpoint.h"
 #include "runtime/csv.h"
+#include "runtime/parallel_map.h"
 #include "runtime/supervised.h"
 
 namespace ccsig::runtime {
@@ -81,6 +83,11 @@ inline std::string campaign_metrics_json(const std::string& fingerprint,
   return out.str();
 }
 
+/// Every campaign slot gets this many attempts: a transient failure
+/// (injected fault, I/O hiccup) is re-run once before the slot is reported
+/// failed.
+inline constexpr RetryPolicy kCampaignRetry = RetryPolicy::attempts(2);
+
 /// How a campaign executes, never what it computes: none of these fields
 /// is part of a fingerprint, and output is byte-identical for any value of
 /// them (faults aside, which only decide which slots fail).
@@ -96,9 +103,6 @@ struct CampaignOptions {
   /// load_or_run_campaign defaults it to `<cache>.ckpt`.
   std::string checkpoint_path;
   int checkpoint_every = 16;
-  /// Per-slot retry policy; transient failures (injected faults, I/O
-  /// hiccups) are re-run with deterministic backoff.
-  RetryPolicy retry = RetryPolicy::attempts(2);
   /// Deterministic fault injection (tests); nullptr = none.
   const FaultPlan* faults = nullptr;
   /// Receives one JobError per slot that ultimately failed (after
@@ -165,54 +169,36 @@ auto run_checkpointed(const std::vector<In>& items, RunFn run, SerFn ser,
   ProgressCounter progress(n, opt.progress);
   for (std::size_t i = 0; i < n - pending.size(); ++i) progress.tick();
 
-  // No watchdog, so no job outlives this call: the workers may borrow
-  // `items` and `pending` by reference.
-  SupervisedOptions sopt;
-  sopt.jobs = opt.jobs;
-  sopt.retry = opt.retry;
-  sopt.faults = opt.faults;
-  sopt.fault_key = [&pending](std::size_t k) {
-    return static_cast<std::uint64_t>(pending[k]);
-  };
-  if (opt.seed_of) {
-    sopt.seed_of = [&pending, &opt](std::size_t k) {
-      return opt.seed_of(pending[k]);
-    };
-  }
-
-  std::vector<JobResult<Out>> results;
-  {
+  std::vector<JobResult<Out>> results = [&] {
     obs::TraceSpan span("campaign.run", "campaign");
-    results = parallel_map_supervised(
+    return parallel_map(
         pending,
-        [&items, &ckpt, &run, &ser,
-         faults = opt.faults](const std::size_t& slot) -> Out {
-          Out o = run(items[slot]);
-          if (ckpt) ckpt->record(slot, ser(o), faults);
-          return o;
+        [&](const std::size_t& slot) {
+          auto run_slot = [&](const In& item) {
+            Out o = run(item);
+            if (ckpt) ckpt->record(slot, ser(o), opt.faults);
+            return o;
+          };
+          return run_supervised(items[slot], run_slot, kCampaignRetry, slot,
+                                opt.seed_of ? opt.seed_of(slot) : 0,
+                                opt.faults);
         },
-        sopt, &progress);
-  }
+        opt.jobs, &progress);
+  }();
 
   CampaignStats stats;
   stats.total_slots = n;
   stats.restored_slots = n - pending.size();
   stats.executed_slots = pending.size();
   for (std::size_t k = 0; k < pending.size(); ++k) {
-    const std::size_t slot = pending[k];
-    const int attempts = results[k].ok() ? results[k].attempts()
-                                         : results[k].error().attempts;
-    stats.attempts += static_cast<std::size_t>(attempts > 0 ? attempts : 0);
-    if (attempts > 1) ++stats.retried_slots;
-    if (results[k].ok()) {
-      out[slot] = std::move(results[k].value());
+    JobResult<Out>& r = results[k];
+    stats.attempts += static_cast<std::size_t>(r.attempts());
+    if (r.attempts() > 1) ++stats.retried_slots;
+    if (r.ok()) {
+      out[pending[k]] = std::move(r.value());
     } else {
       ++stats.failed_slots;
-      if (opt.errors_out) {
-        JobError err = results[k].error();
-        err.index = slot;  // report the campaign slot, not the subset index
-        opt.errors_out->push_back(std::move(err));
-      }
+      if (opt.errors_out) opt.errors_out->push_back(r.error());
     }
   }
   if (opt.stats_out) *opt.stats_out = stats;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "runtime/atomic_file.h"
+#include "runtime/cli_args.h"
 
 namespace ccsig::runtime {
 namespace {
@@ -27,11 +28,7 @@ std::map<std::size_t, std::string> ShardCheckpoint::load(
     const std::size_t tab = line.find('\t');
     if (tab == std::string::npos) continue;  // damaged entry: skip
     std::size_t slot = 0;
-    try {
-      slot = static_cast<std::size_t>(std::stoull(line.substr(0, tab)));
-    } catch (...) {
-      continue;
-    }
+    if (!parse_count(line.substr(0, tab).c_str(), slot)) continue;
     rows[slot] = line.substr(tab + 1);
   }
   return rows;

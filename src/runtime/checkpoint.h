@@ -14,7 +14,9 @@
 // A checkpoint whose fingerprint does not match the current options is
 // stale and ignored; a corrupt or unreadable checkpoint is likewise
 // ignored (the campaign simply re-runs everything) — resume is a pure
-// optimization and must never be able to fail a run.
+// optimization and must never be able to fail a run. A line whose slot is
+// not a plain decimal (`1x`, ` 1`, `+1`) or that has no tab is skipped,
+// so its slot re-runs.
 #pragma once
 
 #include <cstddef>

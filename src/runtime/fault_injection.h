@@ -1,4 +1,4 @@
-// Deterministic fault injection for the supervised runtime and the
+// Deterministic fault injection for the supervised retry loop and the
 // ingestion corpus tests.
 //
 // A FaultPlan is seeded and *stateless per decision*: whether job `i`
@@ -27,7 +27,7 @@ namespace ccsig::runtime {
 struct FaultSpec {
   double throw_rate = 0;      // throw TransientError
   double permanent_rate = 0;  // throw std::runtime_error (not retryable)
-  double stall_rate = 0;      // sleep `stall` (drives the watchdog)
+  double stall_rate = 0;      // sleep `stall` (models slow reads)
   double io_fail_rate = 0;    // consulted by I/O hooks (checkpoint writes)
   std::chrono::milliseconds stall{50};
   /// Only attempts <= this number are faulted; the default 1 means a
@@ -50,7 +50,7 @@ class FaultPlan {
 
   /// Injects the planned fault for (job, attempt), if any: throws
   /// TransientError, throws std::runtime_error, or stalls the calling
-  /// thread. Called by parallel_map_supervised before each attempt.
+  /// thread.
   void maybe_fault(std::uint64_t job_key, int attempt) const;
 
   /// True when the planned fault for (job, attempt) is an I/O failure.

@@ -1,17 +1,16 @@
-// Per-job outcome and retry vocabulary for supervised parallel execution.
+// Per-slot outcome and retry vocabulary for supervised campaign slots.
 //
-// `parallel_map` rethrows the first job exception and discards the whole
-// sweep; `parallel_map_supervised` (supervised.h) instead returns one
-// JobResult per input slot, so a multi-thousand-run campaign survives
-// individual failures and can report exactly which jobs failed, why, and
-// after how many attempts.
+// `parallel_map` rethrows a job's exception and discards the whole map;
+// `run_supervised` (supervised.h), run inside each slot, instead returns a
+// JobResult, so a multi-thousand-run campaign survives individual failures
+// and can report exactly which slots failed, why, and after how many
+// attempts.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <ios>
 #include <optional>
 #include <stdexcept>
@@ -24,20 +23,18 @@ namespace ccsig::runtime {
 enum class JobErrorKind {
   kTransient,  // worth retrying (I/O hiccup, injected fault, …)
   kPermanent,  // retrying cannot help (bad input, logic error)
-  kTimeout,    // exceeded the soft deadline and was abandoned
 };
 
 inline const char* to_string(JobErrorKind k) {
   switch (k) {
     case JobErrorKind::kTransient: return "transient";
     case JobErrorKind::kPermanent: return "permanent";
-    case JobErrorKind::kTimeout: return "timeout";
   }
   return "?";
 }
 
 /// Throw this (or a subclass) from a job to mark the failure retryable
-/// under the default transient classifier.
+/// (RetryPolicy::classify_transient).
 class TransientError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -90,10 +87,6 @@ class JobResult {
 
   int attempts() const { return attempts_; }
 
-  /// True when the job finished past its soft deadline but was allowed to
-  /// complete (watchdog flagged it without abandoning it).
-  bool deadline_exceeded = false;
-
  private:
   std::optional<T> value_;
   std::optional<JobError> error_;
@@ -108,10 +101,6 @@ struct RetryPolicy {
   int max_attempts = 1;  // 1 = no retry
   std::chrono::milliseconds backoff{0};
   std::chrono::milliseconds max_backoff{2000};
-  /// Classifies a thrown exception as transient (retryable). When unset,
-  /// TransientError and std::ios_base::failure are transient, everything
-  /// else is permanent.
-  std::function<bool(const std::exception&)> is_transient;
 
   std::chrono::milliseconds backoff_for(int attempt) const {
     if (backoff.count() <= 0) return std::chrono::milliseconds{0};
@@ -120,14 +109,15 @@ struct RetryPolicy {
     return b < max_backoff ? b : max_backoff;
   }
 
+  /// TransientError and std::ios_base::failure are transient (retryable),
+  /// everything else is permanent.
   bool classify_transient(const std::exception& e) const {
-    if (is_transient) return is_transient(e);
     if (dynamic_cast<const TransientError*>(&e)) return true;
     if (dynamic_cast<const std::ios_base::failure*>(&e)) return true;
     return false;
   }
 
-  static RetryPolicy attempts(int n) {
+  static constexpr RetryPolicy attempts(int n) {
     RetryPolicy p;
     p.max_attempts = n;
     return p;

@@ -1,45 +1,31 @@
-// parallel_map_supervised: the fault-tolerant sibling of parallel_map.
+// run_supervised: the per-slot retry loop behind run_checkpointed.
 //
-// Where parallel_map rethrows the first job exception and discards every
-// other result, the supervised variant returns a JobResult per input slot:
-// failed jobs carry a structured JobError (slot, seed tag, attempts, cause)
-// and successful jobs are unaffected. A RetryPolicy re-runs transient
-// failures with deterministic exponential backoff, and a soft-deadline
-// watchdog flags jobs that run long — optionally abandoning them so one
-// stuck simulation cannot hang a multi-thousand-run campaign.
+// parallel_map fans slots out; run_supervised runs inside one slot and
+// turns its outcome into a JobResult instead of an exception, so a
+// multi-thousand-run campaign survives individual failures: a failed slot
+// carries a structured JobError (slot, seed tag, attempts, cause) and every
+// other slot is unaffected. A RetryPolicy re-runs transient failures with
+// deterministic exponential backoff.
 //
 // Determinism contract (same as parallel_map): job content must depend only
 // on the input item, never on thread interleaving. Retries re-run the same
-// deterministic item, so a retried-transient job produces a result
-// byte-identical to a fault-free run.
-//
-// Abandonment semantics: an abandoned job KEEPS RUNNING on its worker
-// thread; its eventual result is discarded. To make that safe the items,
-// the function, and all bookkeeping are copied into shared state that a
-// detached reaper thread keeps alive until every worker actually finishes.
-// Abandonment therefore requires copyable items/fn and is only available on
-// the parallel path (`jobs > 1`); the serial path can flag but never
-// abandon.
+// deterministic item, and injected faults are keyed by the campaign slot,
+// so a retried-transient job produces a result byte-identical to a
+// fault-free run and fault outcomes do not depend on `jobs`.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
+#include <exception>
+#include <string>
 #include <thread>
 #include <type_traits>
-#include <vector>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/fault_injection.h"
 #include "runtime/job_result.h"
-#include "runtime/progress.h"
-#include "runtime/thread_pool.h"
 
 namespace ccsig::runtime {
 
@@ -50,8 +36,6 @@ struct SupervisedMetrics {
   obs::Counter retries;
   obs::Counter failures_transient;
   obs::Counter failures_permanent;
-  obs::Counter deadline_flagged;
-  obs::Counter jobs_abandoned;
 };
 
 inline SupervisedMetrics& supervised_metrics() {
@@ -59,242 +43,46 @@ inline SupervisedMetrics& supervised_metrics() {
   static SupervisedMetrics m{reg.counter("runtime.attempts"),
                              reg.counter("runtime.retries"),
                              reg.counter("runtime.failures_transient"),
-                             reg.counter("runtime.failures_permanent"),
-                             reg.counter("runtime.deadline_flagged"),
-                             reg.counter("runtime.jobs_abandoned")};
+                             reg.counter("runtime.failures_permanent")};
   return m;
 }
 
-struct SupervisedOptions {
-  /// Worker threads: 0 = every hardware thread, 1 = serial inline.
-  int jobs = 0;
-  RetryPolicy retry;
-  /// Per-job soft deadline (wall clock, per attempt). 0 = no watchdog.
-  std::chrono::milliseconds soft_deadline{0};
-  /// When the deadline passes: false = let the job finish and flag
-  /// `deadline_exceeded` on its result; true = abandon it immediately with
-  /// a kTimeout JobError (parallel path only).
-  bool abandon_on_deadline = false;
-  /// Optional seed/tag reported in JobError (e.g. the run's RNG seed).
-  std::function<std::uint64_t(std::size_t)> seed_of;
-  /// Key used by the fault plan for job `index`; defaults to the index
-  /// itself. Campaign drivers map subset indices back to global slots here
-  /// so injected faults stay stable across resumes.
-  std::function<std::uint64_t(std::size_t)> fault_key;
-  /// Deterministic fault injection; nullptr = none.
-  const FaultPlan* faults = nullptr;
-};
-
-namespace detail {
-
-/// Runs one item through the retry loop. `on_attempt_start(attempt)` lets
-/// the parallel path publish per-attempt start times to the watchdog; a
-/// `false` return means the watchdog abandoned this slot (its kTimeout
-/// error is already settled), so the loop must bail out instead of running
-/// another attempt — the returned placeholder failure is discarded.
-template <typename Out, typename In, typename Fn>
-JobResult<Out> run_supervised_attempts(
-    const In& item, Fn& fn, const SupervisedOptions& opt, std::size_t index,
-    const std::function<bool(int)>& on_attempt_start) {
-  const std::uint64_t key = opt.fault_key ? opt.fault_key(index)
-                                          : static_cast<std::uint64_t>(index);
+/// Runs `fn(item)` until it succeeds, fails permanently, or exhausts
+/// `retry.max_attempts`. `slot` keys the fault plan (`faults`, nullptr =
+/// none) and is reported with `seed` in the JobError of a failed slot.
+template <typename In, typename Fn>
+auto run_supervised(const In& item, Fn& fn, const RetryPolicy& retry,
+                    std::size_t slot, std::uint64_t seed,
+                    const FaultPlan* faults = nullptr)
+    -> JobResult<std::invoke_result_t<Fn&, const In&>> {
+  using Out = std::invoke_result_t<Fn&, const In&>;
+  SupervisedMetrics& m = supervised_metrics();
   for (int attempt = 1;; ++attempt) {
-    if (on_attempt_start && !on_attempt_start(attempt)) {
-      JobError err;
-      err.index = index;
-      err.seed = opt.seed_of ? opt.seed_of(index) : 0;
-      err.attempts = attempt;
-      err.kind = JobErrorKind::kTimeout;
-      err.message = "abandoned by watchdog";
-      return JobResult<Out>::failure(std::move(err));
-    }
-    const auto attempt_start = std::chrono::steady_clock::now();
-    supervised_metrics().attempts.inc();
+    m.attempts.inc();
+    JobError err{slot, seed, attempt, JobErrorKind::kPermanent, {}};
     try {
       obs::TraceSpan span("runtime.attempt", "runtime");
-      if (opt.faults) opt.faults->maybe_fault(key, attempt);
-      Out value = fn(item);
-      auto r = JobResult<Out>::success(std::move(value), attempt);
-      if (opt.soft_deadline.count() > 0 &&
-          std::chrono::steady_clock::now() - attempt_start >
-              opt.soft_deadline) {
-        r.deadline_exceeded = true;
-        supervised_metrics().deadline_flagged.inc();
-      }
-      return r;
+      if (faults) faults->maybe_fault(slot, attempt);
+      return JobResult<Out>::success(fn(item), attempt);
     } catch (const std::exception& e) {
-      const bool transient = opt.retry.classify_transient(e);
-      if (transient && attempt < opt.retry.max_attempts) {
-        supervised_metrics().retries.inc();
-        obs::trace_instant("runtime.retry", "runtime");
-        const auto pause = opt.retry.backoff_for(attempt);
-        if (pause.count() > 0) std::this_thread::sleep_for(pause);
-        continue;
-      }
-      JobError err;
-      err.index = index;
-      err.seed = opt.seed_of ? opt.seed_of(index) : 0;
-      err.attempts = attempt;
-      err.kind = transient ? JobErrorKind::kTransient : JobErrorKind::kPermanent;
-      err.message = e.what();
-      (transient ? supervised_metrics().failures_transient
-                 : supervised_metrics().failures_permanent)
-          .inc();
-      return JobResult<Out>::failure(std::move(err));
-    } catch (...) {
-      JobError err;
-      err.index = index;
-      err.seed = opt.seed_of ? opt.seed_of(index) : 0;
-      err.attempts = attempt;
-      err.kind = JobErrorKind::kPermanent;
-      err.message = "unknown exception";
-      supervised_metrics().failures_permanent.inc();
-      return JobResult<Out>::failure(std::move(err));
-    }
-  }
-}
-
-}  // namespace detail
-
-template <typename In, typename Fn>
-auto parallel_map_supervised(const std::vector<In>& items, Fn&& fn,
-                             const SupervisedOptions& opt = {},
-                             ProgressCounter* progress = nullptr)
-    -> std::vector<JobResult<std::invoke_result_t<Fn&, const In&>>> {
-  using Out = std::invoke_result_t<Fn&, const In&>;
-  static_assert(!std::is_void_v<Out>,
-                "parallel_map_supervised requires a value-returning function");
-
-  const unsigned want =
-      opt.jobs <= 0 ? default_jobs() : static_cast<unsigned>(opt.jobs);
-
-  if (want <= 1 || items.size() <= 1) {
-    std::vector<JobResult<Out>> results;
-    results.reserve(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      results.push_back(detail::run_supervised_attempts<Out>(
-          items[i], fn, opt, i, nullptr));
-      if (progress) progress->tick();
-    }
-    return results;
-  }
-
-  enum class Status : std::uint8_t { kPending, kRunning, kDone, kAbandoned };
-
-  struct State {
-    std::vector<In> items;
-    std::decay_t<Fn> fn;
-    SupervisedOptions opt;
-
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t settled = 0;  // done + abandoned
-    std::vector<JobResult<Out>> results;
-    std::vector<Status> status;
-    std::vector<std::chrono::steady_clock::time_point> attempt_started;
-    std::vector<int> attempt;
-
-    State(const std::vector<In>& items_in, Fn&& fn_in,
-          const SupervisedOptions& opt_in)
-        : items(items_in),
-          fn(std::forward<Fn>(fn_in)),
-          opt(opt_in),
-          results(items_in.size()),
-          status(items_in.size(), Status::kPending),
-          attempt_started(items_in.size()),
-          attempt(items_in.size(), 0) {}
-  };
-
-  const std::size_t n = items.size();
-  auto state = std::make_shared<State>(items, std::forward<Fn>(fn), opt);
-  auto pool = std::make_shared<ThreadPool>(
-      static_cast<unsigned>(std::min<std::size_t>(want, n)));
-
-  for (std::size_t i = 0; i < n; ++i) {
-    pool->submit([state, progress, i] {
-      std::function<bool(int)> on_attempt_start = [&state, i](int attempt) {
-        std::lock_guard<std::mutex> lk(state->mu);
-        // Never clobber an abandonment: the watchdog settled this slot with
-        // a kTimeout error, and resetting it to kRunning would let the slot
-        // settle a second time (early return + write into a moved-from
-        // results vector). Tell the retry loop to bail out instead.
-        if (state->status[i] == Status::kAbandoned) return false;
-        state->status[i] = Status::kRunning;
-        state->attempt[i] = attempt;
-        state->attempt_started[i] = std::chrono::steady_clock::now();
-        return true;
-      };
-      auto result = detail::run_supervised_attempts<Out>(
-          state->items[i], state->fn, state->opt, i, on_attempt_start);
-      {
-        std::lock_guard<std::mutex> lk(state->mu);
-        if (state->status[i] == Status::kAbandoned) {
-          return;  // the watchdog already settled this slot; result dropped
+      if (retry.classify_transient(e)) {
+        if (attempt < retry.max_attempts) {
+          m.retries.inc();
+          obs::trace_instant("runtime.retry", "runtime");
+          std::this_thread::sleep_for(retry.backoff_for(attempt));
+          continue;
         }
-        state->status[i] = Status::kDone;
-        state->results[i] = std::move(result);
-        ++state->settled;
+        err.kind = JobErrorKind::kTransient;
       }
-      // Progress ticks outside state->mu (ProgressCounter has its own
-      // lock); safe because the caller cannot return before `settled`
-      // reaches n, which this task only bumps for non-abandoned slots.
-      if (progress) progress->tick();
-      state->cv.notify_all();
-    });
-  }
-
-  bool any_abandoned = false;
-  {
-    std::unique_lock<std::mutex> lk(state->mu);
-    const bool watchdog =
-        opt.soft_deadline.count() > 0 && opt.abandon_on_deadline;
-    const auto poll = std::chrono::milliseconds(
-        watchdog ? std::max<std::int64_t>(1, opt.soft_deadline.count() / 4)
-                 : 0);
-    while (state->settled < n) {
-      if (!watchdog) {
-        state->cv.wait(lk);
-        continue;
-      }
-      state->cv.wait_for(lk, poll);
-      const auto now = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (state->status[i] != Status::kRunning) continue;
-        if (now - state->attempt_started[i] <= opt.soft_deadline) continue;
-        state->status[i] = Status::kAbandoned;
-        JobError err;
-        err.index = i;
-        err.seed = opt.seed_of ? opt.seed_of(i) : 0;
-        err.attempts = state->attempt[i];
-        err.kind = JobErrorKind::kTimeout;
-        err.message = "exceeded soft deadline of " +
-                      std::to_string(opt.soft_deadline.count()) +
-                      " ms; abandoned";
-        state->results[i] = JobResult<Out>::failure(std::move(err));
-        ++state->settled;
-        any_abandoned = true;
-        supervised_metrics().jobs_abandoned.inc();
-        obs::trace_instant("runtime.abandon", "runtime");
-        if (progress) progress->tick();
-      }
+      err.message = e.what();
+    } catch (...) {
+      err.message = "unknown exception";
     }
+    (err.kind == JobErrorKind::kTransient ? m.failures_transient
+                                          : m.failures_permanent)
+        .inc();
+    return JobResult<Out>::failure(std::move(err));
   }
-
-  std::vector<JobResult<Out>> results;
-  {
-    std::lock_guard<std::mutex> lk(state->mu);
-    results = std::move(state->results);
-  }
-  if (any_abandoned) {
-    // Abandoned jobs are still executing inside `state`; a detached reaper
-    // keeps the pool and state alive until they drain, so this call can
-    // return now instead of hanging the campaign.
-    std::thread([pool, state]() mutable {
-      pool.reset();  // ~ThreadPool drains the queue and joins workers
-      state.reset();
-    }).detach();
-  }
-  return results;
 }
 
 }  // namespace ccsig::runtime

@@ -10,7 +10,7 @@
 #include "obs/rtt_samples.h"
 #include "obs/trace.h"
 #include "runtime/spsc_queue.h"
-#include "runtime/thread_pool.h"
+#include "runtime/parallel_map.h"
 #include "stream/flow_state.h"
 
 namespace ccsig::stream {

@@ -123,7 +123,12 @@ TEST_F(ResumeTest, StaleOrDamagedCheckpointRowsAreRerunNotTrusted) {
     std::ofstream out(file("damaged.ckpt"));
     out << "# checkpoint: fp-v1\n0\tnot-a-number\n1\t11\n";
   }
-  for (const char* name : {"stale.ckpt", "damaged.ckpt"}) {
+  {
+    // Slot keys that are not plain decimals never name slot 1.
+    std::ofstream out(file("bad-keys.ckpt"));
+    out << "# checkpoint: fp-v1\n1x\t999\n 1\t999\n+1\t999\n";
+  }
+  for (const char* name : {"stale.ckpt", "damaged.ckpt", "bad-keys.ckpt"}) {
     CheckpointedRunOptions opt;
     opt.checkpoint_path = file(name);
     opt.fingerprint = "fp-v1";
@@ -135,10 +140,10 @@ TEST_F(ResumeTest, StaleOrDamagedCheckpointRowsAreRerunNotTrusted) {
           return x * 11;
         },
         ser_int, de_int, opt);
-    // Stale file: both slots re-run. Damaged row: slot 0 re-runs, slot 1
-    // (whose row parses) is reused.
-    const bool stale = std::string(name) == "stale.ckpt";
-    EXPECT_EQ(executed.load(), stale ? 2 : 1) << name;
+    // Stale file or damaged keys: both slots re-run. Damaged row: slot 0
+    // re-runs, slot 1 (whose row parses) is reused.
+    const bool damaged = std::string(name) == "damaged.ckpt";
+    EXPECT_EQ(executed.load(), damaged ? 1 : 2) << name;
     ASSERT_TRUE(out[0].has_value());
     ASSERT_TRUE(out[1].has_value());
     EXPECT_EQ(*out[0], 0);
@@ -156,7 +161,6 @@ TEST_F(ResumeTest, CheckpointWriteFaultIsRetriedTransparently) {
   CheckpointedRunOptions opt;
   opt.checkpoint_path = file("io.ckpt");
   opt.fingerprint = "fp-io";
-  opt.retry = RetryPolicy::attempts(2);
   opt.faults = &faults;
   std::vector<JobError> errors;
   opt.errors_out = &errors;

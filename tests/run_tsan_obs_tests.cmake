@@ -3,8 +3,9 @@
 # `obs_tests_tsan` ctest by tests/CMakeLists.txt (only when the main build
 # is unsanitized), so a plain `ctest` also proves the metrics shards, the
 # window aggregator fed from the service loop, the admin socket answer
-# path, and the service tests that drive a daemon thread from the test
-# thread (hot reload, stop) are race-free under -fsanitize=thread.
+# path, the service tests that drive a daemon thread from the test
+# thread (hot reload, stop), and the parallel_map runner with the
+# supervised retry loop on top of it are race-free under -fsanitize=thread.
 #
 # Invoked as:
 #   cmake -DSOURCE_DIR=<repo> -DBUILD_DIR=<build>/obs-tsan
@@ -19,6 +20,8 @@ endforeach()
 set(tests
   obs_concurrency_test
   obs_window_test
+  runtime_parallel_map_test
+  runtime_supervised_test
   service_admin_test
   service_fault_test
   service_test

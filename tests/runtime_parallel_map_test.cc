@@ -9,45 +9,11 @@
 #include <vector>
 
 #include "runtime/progress.h"
-#include "runtime/thread_pool.h"
 
 namespace ccsig::runtime {
 namespace {
 
 TEST(DefaultJobs, AtLeastOne) { EXPECT_GE(default_jobs(), 1u); }
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 50; ++i) pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 50 * (batch + 1));
-  }
-}
-
-TEST(ThreadPool, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&] {
-      ++count;
-      pool.submit([&count] { ++count; });
-    });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 40);
-}
 
 TEST(ParallelMap, PreservesInputOrder) {
   std::vector<int> items(257);
@@ -98,6 +64,25 @@ TEST(ParallelMap, WorkerExceptionRethrownAtCallSite) {
   }
   // The serial fallback propagates too.
   EXPECT_THROW(parallel_map(items, boom, 1), std::runtime_error);
+
+  // Several failures: the lowest slot's exception wins, as with jobs == 1,
+  // even when a higher slot throws first.
+  const auto two_fail = [](const int& v) {
+    if (v == 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw std::runtime_error("a");
+    }
+    if (v == 5) throw std::runtime_error("b");
+    return v;
+  };
+  for (int jobs : {1, 4}) {
+    try {
+      parallel_map(items, two_fail, jobs);
+      FAIL() << "expected a worker exception at jobs " << jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "a") << "jobs " << jobs;
+    }
+  }
 }
 
 TEST(ParallelMap, ProgressCounterMonotonicAndExact) {

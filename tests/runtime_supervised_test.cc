@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "runtime/parallel_map.h"
+#include "runtime/progress.h"
 
 namespace ccsig::runtime {
 namespace {
@@ -25,13 +27,28 @@ FaultSpec spec_with(double throw_rate, double permanent_rate = 0) {
   return s;
 }
 
+/// Runs every item through run_supervised on parallel_map, the way
+/// run_checkpointed does: slot i is keyed by i and tagged with seed 1000+i.
+template <typename Fn>
+std::vector<JobResult<int>> supervise(const std::vector<int>& items, Fn fn,
+                                      int jobs, const RetryPolicy& retry = {},
+                                      const FaultPlan* faults = nullptr,
+                                      ProgressCounter* progress = nullptr) {
+  std::vector<std::size_t> slots(items.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = i;
+  return parallel_map(
+      slots,
+      [&](const std::size_t& i) {
+        return run_supervised(items[i], fn, retry, i, 1000 + i, faults);
+      },
+      jobs, progress);
+}
+
 TEST(Supervised, AllSucceedInOrder) {
   const auto items = iota_items(16);
   for (int jobs : {1, 4}) {
-    SupervisedOptions opt;
-    opt.jobs = jobs;
     const auto results =
-        parallel_map_supervised(items, [](const int& x) { return x * x; }, opt);
+        supervise(items, [](const int& x) { return x * x; }, jobs);
     ASSERT_EQ(results.size(), 16u);
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].ok());
@@ -44,12 +61,8 @@ TEST(Supervised, AllSucceedInOrder) {
 TEST(Supervised, TransientFaultsRecoveredByRetry) {
   const auto items = iota_items(12);
   const FaultPlan faults(7, spec_with(1.0));
-  SupervisedOptions opt;
-  opt.jobs = 2;
-  opt.retry.max_attempts = 2;
-  opt.faults = &faults;
-  const auto results =
-      parallel_map_supervised(items, [](const int& x) { return x + 1; }, opt);
+  const auto results = supervise(items, [](const int& x) { return x + 1; }, 2,
+                                 RetryPolicy::attempts(2), &faults);
   ASSERT_EQ(results.size(), 12u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].error().to_string();
@@ -62,15 +75,12 @@ TEST(Supervised, TransientFaultsRecoveredByRetry) {
 TEST(Supervised, RetriedResultsIdenticalToFaultFree) {
   const auto items = iota_items(20);
   auto fn = [](const int& x) { return 31 * x + 7; };
-  const auto clean = parallel_map_supervised(items, fn);
+  const auto clean = supervise(items, fn, 0);
 
   const FaultPlan faults(99, spec_with(0.7));
-  SupervisedOptions opt;
-  opt.retry.max_attempts = 3;
-  opt.faults = &faults;
   for (int jobs : {1, 3}) {
-    opt.jobs = jobs;
-    const auto faulty = parallel_map_supervised(items, fn, opt);
+    const auto faulty =
+        supervise(items, fn, jobs, RetryPolicy::attempts(3), &faults);
     ASSERT_EQ(faulty.size(), clean.size());
     for (std::size_t i = 0; i < clean.size(); ++i) {
       ASSERT_TRUE(faulty[i].ok());
@@ -81,17 +91,13 @@ TEST(Supervised, RetriedResultsIdenticalToFaultFree) {
 
 TEST(Supervised, PermanentFailuresReportedStructured) {
   const auto items = iota_items(8);
-  SupervisedOptions opt;
-  opt.jobs = 2;
-  opt.retry.max_attempts = 3;  // retries must NOT be spent on permanents
-  opt.seed_of = [](std::size_t i) { return 1000 + i; };
-  const auto results = parallel_map_supervised(
+  const auto results = supervise(
       items,
       [](const int& x) -> int {
         if (x % 2 == 1) throw std::runtime_error("odd job rejected");
         return x;
       },
-      opt);
+      2, RetryPolicy::attempts(3));  // retries must NOT be spent on permanents
   ASSERT_EQ(results.size(), 8u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i % 2 == 0) {
@@ -111,12 +117,9 @@ TEST(Supervised, PermanentFailuresReportedStructured) {
 
 TEST(Supervised, TransientExhaustionReportsAttemptCount) {
   const std::vector<int> items = {0};
-  SupervisedOptions opt;
-  opt.jobs = 1;
-  opt.retry.max_attempts = 3;
-  const auto results = parallel_map_supervised(
+  const auto results = supervise(
       items, [](const int&) -> int { throw TransientError("flaky forever"); },
-      opt);
+      1, RetryPolicy::attempts(3));
   ASSERT_EQ(results.size(), 1u);
   ASSERT_FALSE(results[0].ok());
   EXPECT_EQ(results[0].error().kind, JobErrorKind::kTransient);
@@ -140,112 +143,14 @@ TEST(RetryPolicy, DefaultClassifierKnowsTransientTypes) {
   EXPECT_TRUE(p.classify_transient(TransientError("x")));
   EXPECT_TRUE(p.classify_transient(std::ios_base::failure("y")));
   EXPECT_FALSE(p.classify_transient(std::runtime_error("z")));
-  RetryPolicy custom;
-  custom.is_transient = [](const std::exception&) { return true; };
-  EXPECT_TRUE(custom.classify_transient(std::runtime_error("z")));
-}
-
-TEST(Supervised, SoftDeadlineFlagsSlowJobWithoutAbandoning) {
-  const std::vector<int> items = {0, 1};
-  SupervisedOptions opt;
-  opt.jobs = 1;
-  opt.soft_deadline = std::chrono::milliseconds(5);
-  const auto results = parallel_map_supervised(
-      items,
-      [](const int& x) {
-        if (x == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        }
-        return x;
-      },
-      opt);
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_TRUE(results[0].ok());  // completed, only flagged
-  EXPECT_TRUE(results[0].deadline_exceeded);
-  ASSERT_TRUE(results[1].ok());
-  EXPECT_FALSE(results[1].deadline_exceeded);
-}
-
-TEST(Supervised, AbandonOnDeadlineReportsTimeoutAndReturnsPromptly) {
-  const std::vector<int> items = {0, 1, 2, 3};
-  SupervisedOptions opt;
-  opt.jobs = 2;
-  opt.soft_deadline = std::chrono::milliseconds(40);
-  opt.abandon_on_deadline = true;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto results = parallel_map_supervised(
-      items,
-      [](const int& x) {
-        if (x == 1) {
-          // Far past the deadline: the watchdog must abandon this slot.
-          std::this_thread::sleep_for(std::chrono::seconds(2));
-        }
-        return x * 10;
-      },
-      opt);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  ASSERT_EQ(results.size(), 4u);
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].error().kind, JobErrorKind::kTimeout);
-  EXPECT_EQ(results[1].error().index, 1u);
-  for (std::size_t i : {0u, 2u, 3u}) {
-    ASSERT_TRUE(results[i].ok());
-    EXPECT_EQ(results[i].value(), static_cast<int>(i) * 10);
-  }
-  // The stuck job sleeps 2 s; returning well under that proves abandonment.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            1500);
-}
-
-TEST(Supervised, AbandonedSlotRetryDoesNotSettleTwice) {
-  // Regression: a job that stalls past the deadline, then throws a
-  // transient error with retries left, must NOT clobber the watchdog's
-  // abandonment. Previously on_attempt_start reset the slot to kRunning,
-  // the slot settled twice, the call returned while workers were still
-  // running, and a late completion wrote into the moved-from results
-  // vector (UB); the kTimeout error could also be silently overwritten.
-  static std::atomic<int> slow_attempts{0};
-  slow_attempts = 0;
-  const std::vector<int> items = {0, 1, 2, 3};
-  SupervisedOptions opt;
-  opt.jobs = 2;
-  opt.retry.max_attempts = 4;
-  opt.soft_deadline = std::chrono::milliseconds(30);
-  opt.abandon_on_deadline = true;
-  const auto results = parallel_map_supervised(
-      items,
-      [](const int& x) -> int {
-        if (x == 1) {
-          ++slow_attempts;
-          std::this_thread::sleep_for(std::chrono::milliseconds(150));
-          throw TransientError("slow and flaky");
-        }
-        return x * 3;
-      },
-      opt);
-  ASSERT_EQ(results.size(), 4u);
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].error().kind, JobErrorKind::kTimeout);
-  for (std::size_t i : {0u, 2u, 3u}) {
-    ASSERT_TRUE(results[i].ok());
-    EXPECT_EQ(results[i].value(), static_cast<int>(i) * 3);
-  }
-  // The orphaned worker observes the abandonment when its first attempt
-  // fails and bails out instead of burning the remaining retries.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  EXPECT_LT(slow_attempts.load(), opt.retry.max_attempts);
 }
 
 TEST(Supervised, FaultOutcomesIdenticalAcrossJobCounts) {
   const auto items = iota_items(24);
   const FaultPlan faults(1234, spec_with(0.3, 0.2));
   auto run = [&](int jobs) {
-    SupervisedOptions opt;
-    opt.jobs = jobs;
-    opt.retry.max_attempts = 2;
-    opt.faults = &faults;
-    return parallel_map_supervised(items, [](const int& x) { return x; }, opt);
+    return supervise(items, [](const int& x) { return x; }, jobs,
+                     RetryPolicy::attempts(2), &faults);
   };
   const auto serial = run(1);
   const auto parallel = run(4);
@@ -272,10 +177,7 @@ TEST(Supervised, ProgressTicksOncePerItem) {
                              last_done = done;
                              EXPECT_EQ(total, 10u);
                            });
-  SupervisedOptions opt;
-  opt.jobs = 3;
-  parallel_map_supervised(items, [](const int& x) { return x; }, opt,
-                          &progress);
+  supervise(items, [](const int& x) { return x; }, 3, {}, nullptr, &progress);
   EXPECT_EQ(calls, 10u);
   EXPECT_EQ(last_done, 10u);
 }

@@ -230,7 +230,14 @@ std::string render_flow_telemetry() {
 }
 
 TEST(TcpRefactorEquivalence, FlowTelemetryMatchesGolden) {
+#ifdef CCSIG_OBS_OFF
+  // The recorder records nothing in this mode: its CSV is the header only.
+  EXPECT_EQ(render_flow_telemetry(),
+            "time_s,event,cwnd_bytes,ssthresh_bytes,pipe_bytes,srtt_s,"
+            "retransmits\n");
+#else
   expect_matches_golden("flow_telemetry.csv", render_flow_telemetry());
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ void set_every_execution_field(runtime::CampaignOptions& opt,
   opt.progress = [](std::size_t, std::size_t) {};
   opt.checkpoint_path = "elsewhere.ckpt";
   opt.checkpoint_every = 3;
-  opt.retry = runtime::RetryPolicy::attempts(7);
   opt.faults = &faults;
   opt.errors_out = &errors;
   opt.stats_out = &stats;

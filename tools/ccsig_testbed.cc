@@ -203,7 +203,7 @@ int run_tool(ccsig::testbed::TestbedConfig cfg, int reps, int jobs,
 
   if (reps > 1) {
     // Replicate mode: derive one seed per replicate from --seed, run the
-    // batch on the runtime thread pool, report in replicate order.
+    // batch on runtime::parallel_map, report in replicate order.
     std::vector<testbed::TestbedConfig> runs(static_cast<std::size_t>(reps),
                                              cfg);
     sim::Rng seeder(cfg.seed);
