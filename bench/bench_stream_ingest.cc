@@ -3,13 +3,18 @@
 //
 // The engine's bounded-memory claim rests on flows going quiescent: once a
 // flow's slow-start stats are frozen and its RTT sampler has stopped,
-// every further record must touch only scalars — no map inserts, no
-// vector growth, no deferred-ACK churn. The warmup drives one flow through
-// exactly that transition (two segments, a retransmission closing slow
-// start, and an ACK past the boundary), then the probe pushes records
-// through StreamEngine::push and counts heap allocations. The
+// every further record must touch only scalars — no pending-window
+// appends, no vector growth, no deferred-ACK churn. The warmup drives one
+// flow through exactly that transition (two segments, a retransmission
+// closing slow start, and an ACK past the boundary), then the probe pushes
+// records through StreamEngine::push and counts heap allocations. The
 // `allocs_per_packet` counter is asserted == 0 by `tools/bench_micro.py
 // --smoke` (wired into ctest as bench_micro_smoke).
+// BM_StreamFlowLifecycle/{100,1000} covers the part of a flow's life
+// before that: it opens, runs and finalizes whole flows (slow start, one
+// retransmission, FIN handshake) and reports `allocs_per_flow`, which
+// --smoke bounds by a constant: a slow-start segment must not cost an
+// allocation of its own.
 // The same binary also carries the ingest *ladder*: whole-capture passes
 // over synthetic headers-only captures at 64 MB / 256 MB / 1 GB through
 // the batched cursor (streamed and mmap backends). Each rung reports
@@ -19,6 +24,7 @@
 // to a hard packets/s floor and a hard zero on the mmap rung.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -81,19 +87,21 @@ using namespace ccsig;
 
 constexpr sim::FlowKey kKey{1, 2, 5001, 5002};
 
-analysis::WireRecord data_rec(sim::Time t, std::uint32_t seq) {
+analysis::WireRecord data_rec(sim::Time t, std::uint32_t seq,
+                              const sim::FlowKey& key = kKey) {
   analysis::WireRecord w;
   w.time = t;
-  w.key = kKey;
+  w.key = key;
   w.seq32 = seq;
   w.payload_bytes = 1448;
   return w;
 }
 
-analysis::WireRecord ack_rec(sim::Time t, std::uint32_t acked) {
+analysis::WireRecord ack_rec(sim::Time t, std::uint32_t acked,
+                             const sim::FlowKey& key = kKey) {
   analysis::WireRecord w;
   w.time = t;
-  w.key = kKey.reversed();
+  w.key = key.reversed();
   w.seq32 = 1;
   w.ack32 = acked;
   w.flags.ack = true;
@@ -149,6 +157,94 @@ void BM_StreamIngestHotPath(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(packets);
 }
 BENCHMARK(BM_StreamIngestHotPath);
+
+// ---------------------------------------------------------------------------
+// Whole-flow lifecycle: open, slow start, retransmission, FIN, finalize.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kLifecycleFlows = 64;
+
+/// Pushes one whole connection on `key`, from time `t` on (and advances
+/// `t` past its last record): `segments` slow-start data segments in
+/// doubling bursts (2, 4, 8, ...), each burst answered by one cumulative
+/// ACK per two segments; a retransmission of the last segment, which
+/// closes slow start; an ACK past it, which freezes the slow-start stats
+/// and stops the sampler; then the FIN handshake, which finalizes the
+/// flow. Returns the records pushed.
+std::uint64_t push_whole_flow(stream::StreamEngine& engine,
+                              const sim::FlowKey& key, std::size_t segments,
+                              sim::Time& t) {
+  std::uint64_t records = 0;
+  const auto push = [&](analysis::WireRecord w) {
+    engine.push(w);
+    ++records;
+    t += 10 * sim::kMicrosecond;
+  };
+  std::uint32_t seq = 1;
+  std::size_t sent = 0;
+  for (std::size_t burst = 2; sent < segments; burst *= 2) {
+    const std::size_t n = std::min(burst, segments - sent);
+    for (std::size_t i = 0; i < n; ++i) {
+      push(data_rec(t, static_cast<std::uint32_t>(seq + i * 1448), key));
+    }
+    for (std::size_t i = 2; i <= n; i += 2) {
+      push(ack_rec(t, static_cast<std::uint32_t>(seq + i * 1448), key));
+    }
+    seq += static_cast<std::uint32_t>(n * 1448);
+    sent += n;
+  }
+  push(data_rec(t, seq - 1448, key));  // retx: closes slow start
+  push(ack_rec(t, seq, key));          // past the boundary
+  analysis::WireRecord fin = data_rec(t, seq, key);
+  fin.payload_bytes = 0;
+  fin.flags.fin = true;
+  push(fin);
+  analysis::WireRecord fin_ack = ack_rec(t, seq + 1, key);  // acks the FIN
+  fin_ack.flags.fin = true;
+  push(fin_ack);
+  analysis::WireRecord last = data_rec(t, seq + 1, key);  // acks theirs
+  last.payload_bytes = 0;
+  last.ack32 = 2;
+  last.flags.ack = true;
+  push(last);
+  return records;
+}
+
+void BM_StreamFlowLifecycle(benchmark::State& state) {
+  const FlowAnalyzer analyzer;
+  const auto segments = static_cast<std::size_t>(state.range(0));
+  std::uint64_t allocs = 0;
+  std::uint64_t flows = 0;
+  std::uint64_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    stream::StreamConfig cfg;
+    cfg.jobs = 1;
+    auto engine = std::make_unique<stream::StreamEngine>(analyzer, cfg);
+    state.ResumeTiming();
+    {
+      const AllocProbe probe;
+      sim::Time t = 0;
+      for (std::size_t f = 0; f < kLifecycleFlows; ++f) {
+        const sim::FlowKey key{static_cast<sim::Address>(1 + f),
+                               static_cast<sim::Address>(10001 + f),
+                               static_cast<std::uint16_t>(40000 + f), 443};
+        records += push_whole_flow(*engine, key, segments, t);
+      }
+      allocs += probe.count();
+    }
+    flows += kLifecycleFlows;
+    state.PauseTiming();
+    auto reports = engine->finish();
+    benchmark::DoNotOptimize(reports);
+    engine.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+  state.counters["allocs_per_flow"] =
+      static_cast<double>(allocs) / static_cast<double>(flows);
+}
+BENCHMARK(BM_StreamFlowLifecycle)->Arg(100)->Arg(1000);
 
 // ---------------------------------------------------------------------------
 // Ingest ladder: whole-capture passes over synthetic pcap files.

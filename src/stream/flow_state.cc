@@ -1,42 +1,101 @@
 #include "stream/flow_state.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 
 namespace ccsig::stream {
 
+namespace {
+
+/// Drops the dead prefix of a vector + head-cursor queue: all of it once
+/// the queue is empty (keeping the capacity), or by one move of the live
+/// part once the prefix is more than half the vector, so each element is
+/// moved O(1) times on average.
+template <typename T>
+void compact_front(std::vector<T>& v, std::size_t& head) {
+  if (head == v.size()) {
+    v.clear();
+    head = 0;
+  } else if (head > v.size() / 2) {
+    v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Hypothesis: one direction assignment, run incrementally.
 // ---------------------------------------------------------------------------
+
+void FlowState::Hypothesis::on_segment(std::uint64_t seq_end, sim::Time t) {
+  if (seq_end > highest_sent) {
+    // New data ends above everything sent: it belongs at the window's end.
+    pending.push_back(Outstanding{seq_end, t, false});
+    highest_sent = seq_end;
+    return;
+  }
+  // A retransmission: a range ending at or below the highest byte sent.
+  // Its boundary may already be outstanding (same range sent again: taint
+  // it and refresh the send time), or be new — inside the window, or below
+  // its front when the range was already acknowledged — and is inserted in
+  // sequence order, tainted.
+  const auto live = pending.begin() + static_cast<std::ptrdiff_t>(pending_head);
+  const auto it = std::lower_bound(
+      live, pending.end(), seq_end,
+      [](const Outstanding& o, std::uint64_t s) { return o.seq_end < s; });
+  if (it != pending.end() && it->seq_end == seq_end) {
+    it->tainted = true;
+    it->sent_at = t;
+  } else {
+    pending.insert(it, Outstanding{seq_end, t, true});
+  }
+  if (!ss_closed) {
+    ss_closed = true;
+    ss_end = t;
+  }
+}
 
 void FlowState::Hypothesis::process_deferred(const DeferredAck& a) {
   // One ACK through the sampler: sample the newest covered segment unless
   // it was retransmitted, then retire everything the ACK covers.
   if (!a.ack_flag || a.syn) return;
   if (ss_closed && a.time > ss_end) {
-    stopped = true;  // caller frees pending + remaining FIFO
+    // Sampling is over; the caller frees the remaining FIFO.
+    stopped = true;
+    std::vector<Outstanding>().swap(pending);
+    pending_head = 0;
     return;
   }
-  auto it = pending.upper_bound(a.ack);
-  if (it == pending.begin()) return;
-  --it;
-  if (!it->second.tainted) {
+  const auto live = pending.begin() + static_cast<std::ptrdiff_t>(pending_head);
+  const auto it = std::upper_bound(
+      live, pending.end(), a.ack,
+      [](std::uint64_t ack, const Outstanding& o) { return ack < o.seq_end; });
+  if (it == live) return;
+  const Outstanding& newest = *(it - 1);
+  if (!newest.tainted) {
     samples.push_back(
-        analysis::RttSample{a.time, a.time - it->second.sent_at, it->first});
+        analysis::RttSample{a.time, a.time - newest.sent_at, newest.seq_end});
   }
-  pending.erase(pending.begin(), std::next(it));
+  pending_head = static_cast<std::size_t>(it - pending.begin());
+  compact_front(pending, pending_head);
 }
 
-void FlowState::Hypothesis::prune_advances(sim::Time bound_end,
-                                           sim::Time flow_start) {
+void FlowState::Hypothesis::add_advance(const analysis::AckAdvance& a,
+                                        sim::Time bound_end,
+                                        sim::Time flow_start) {
+  advances.push_back(a);
   // `bound_end` is a lower bound on the final slow-start end time, so
   // `bound` is a lower bound on the final window midpoint (integer division
   // is monotone). Advances at or before the midpoint only matter through
   // their maximum, which is the last one — everything before it can go.
   const sim::Time bound = flow_start + (bound_end - flow_start) / 2;
-  while (advances.size() >= 2 && advances[1].time <= bound) {
-    advances.pop_front();
+  while (advances.size() - advances_head >= 2 &&
+         advances[advances_head + 1].time <= bound) {
+    ++advances_head;
   }
+  compact_front(advances, advances_head);
 }
 
 void FlowState::Hypothesis::compute_ss_stats(sim::Time flow_start,
@@ -48,10 +107,11 @@ void FlowState::Hypothesis::compute_ss_stats(sim::Time flow_start,
   info.end_time = end;
   info.ended_by_retransmission = by_retransmission;
   info.acked_bytes = ss_acked_raw;
-  const std::vector<analysis::AckAdvance> v(advances.begin(), advances.end());
-  ss_throughput =
-      slow_start_throughput_from_advances(flow_start, info, v);
-  std::deque<analysis::AckAdvance>().swap(advances);
+  ss_throughput = slow_start_throughput_from_advances(
+      flow_start, info,
+      std::span<const analysis::AckAdvance>(advances).subspan(advances_head));
+  std::vector<analysis::AckAdvance>().swap(advances);
+  advances_head = 0;
 }
 
 // ---------------------------------------------------------------------------

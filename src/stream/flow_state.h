@@ -11,9 +11,10 @@
 //                      the canonical direction). The majority is known only
 //                      at finalize, so BOTH direction hypotheses run from
 //                      the first record; the losing one is nearly free (its
-//                      "data" records carry no payload, so its pending map
-//                      and sample vector stay empty). A connection with no
-//                      payload in either direction yields no report.
+//                      "data" records carry no payload, so its pending
+//                      window and sample vector stay empty). A connection
+//                      with no payload in either direction yields no
+//                      report.
 //   Slow start       — ends at the first data segment whose range ends at
 //                      or below the highest byte already sent (a
 //                      retransmission, partial or whole); a flow that never
@@ -46,10 +47,15 @@
 // feature extractor reports kNonMonotonicTimestamps when that reorders the
 // samples.
 //
-// Memory: O(in-flight segments + slow-start RTT samples) per flow. Once
-// the first slow-start period closes and the sampler passes its cutoff,
-// every per-record structure is freed and further records touch only
-// scalar counters — the bench_stream_ingest allocs_per_packet=0 bound.
+// Memory: O(in-flight segments + slow-start RTT samples) per flow, in flat
+// vectors that grow geometrically and reuse their capacity: the pending
+// window over sequence space, the deferred-ACK FIFO and the throughput
+// advance window are each a vector plus a head cursor, so a slow-start
+// segment costs no allocation of its own (bench_stream_ingest
+// BM_StreamFlowLifecycle bounds allocs_per_flow). Once the first slow-start
+// period closes and the sampler passes its cutoff, every per-record
+// structure is freed and further records touch only scalar counters — the
+// BM_StreamIngestHotPath allocs_per_packet=0 bound.
 // The one exception is a flow that never retransmits: its slow-start
 // window extends to the end of the flow, whose midpoint is unknown until
 // then, so the cumulative-ACK advances of the trailing half must be kept
@@ -58,9 +64,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -132,7 +136,9 @@ class FlowState {
   }
 
  private:
+  /// One data segment not yet covered by a processed ACK.
   struct Outstanding {
+    std::uint64_t seq_end;
     sim::Time sent_at;
     bool tainted;  // retransmitted range: excluded per Karn's rule
   };
@@ -148,8 +154,14 @@ class FlowState {
   struct Hypothesis {
     int data_dir = 0;
 
-    // RTT sampler.
-    std::map<std::uint64_t, Outstanding> pending;  // seq_end -> info
+    // RTT sampler. `pending` is the outstanding window over sequence
+    // space: sorted by seq_end, live from `pending_head` on. New data ends
+    // above `highest_sent` and is appended; a retransmission is found or
+    // inserted in order by binary search; an ACK retires a prefix by
+    // moving the head. Its dead prefix is dropped when the window empties
+    // or once it exceeds half the vector.
+    std::vector<Outstanding> pending;
+    std::size_t pending_head = 0;
     std::uint64_t highest_sent = 0;
     std::vector<analysis::RttSample> samples;
     // Deferred-ACK FIFO as vector + head cursor: once drained it resets to
@@ -166,16 +178,21 @@ class FlowState {
     // window), updated on ACK *arrival*, not through the deferred FIFO:
     // the throughput window is a property of when ACKs reached the tap.
     std::uint64_t adv_max = 0;  // running max cumulative ACK
-    std::deque<analysis::AckAdvance> advances;
+    // The advances the window midpoint may still need, live from
+    // `advances_head` on (vector + head cursor, like `pending`).
+    std::vector<analysis::AckAdvance> advances;
+    std::size_t advances_head = 0;
     bool ss_done = false;  // ss stats computed, advances freed
     std::uint64_t ss_acked_raw = 0;
     std::optional<double> ss_throughput;
 
     void on_data(const analysis::TraceRecord& r);
+    void on_segment(std::uint64_t seq_end, sim::Time t);
     void on_ack(const analysis::TraceRecord& r, sim::Time flow_start);
     void flush_before(sim::Time t);
     void process_deferred(const DeferredAck& a);
-    void prune_advances(sim::Time bound_end, sim::Time flow_start);
+    void add_advance(const analysis::AckAdvance& a, sim::Time bound_end,
+                     sim::Time flow_start);
     void compute_ss_stats(sim::Time flow_start, sim::Time end,
                           bool by_retransmission);
   };
@@ -239,8 +256,12 @@ FinalizedFlow analyze_trace_flow(std::span<const analysis::WireRecord> trace,
 
 // ---------------------------------------------------------------------------
 // Hot-path definitions, inline so the streaming engine's per-record loop
-// sees through them. The cold helpers (process_deferred, compute_ss_stats,
-// prune_advances, finalize) stay out of line in flow_state.cc.
+// sees through them. The helpers that append to the pending window, the
+// samples and the advance ledger (on_segment, process_deferred,
+// add_advance) and the cold ones (compute_ss_stats, finalize) stay out of
+// line in flow_state.cc: inlining those appends as well pushes ingest()
+// past the compiler's inlining budget, and the quiescent path then pays an
+// out-of-line call per record.
 // ---------------------------------------------------------------------------
 
 inline void FlowState::Hypothesis::flush_before(sim::Time t) {
@@ -249,10 +270,9 @@ inline void FlowState::Hypothesis::flush_before(sim::Time t) {
     ++fifo_head;
     if (stopped) {
       // Sampling is over: everything still queued is discarded and nothing
-      // is retained for later records.
+      // is retained for later records (process_deferred freed `pending`).
       std::vector<DeferredAck>().swap(fifo);
       fifo_head = 0;
-      pending.clear();
       return;
     }
   }
@@ -267,21 +287,7 @@ inline void FlowState::Hypothesis::on_data(const analysis::TraceRecord& r) {
   flush_before(r.time);
   if (stopped) return;  // a flushed ACK passed the slow-start end
   if (r.payload_bytes == 0) return;
-  const std::uint64_t seq_end = r.seq + r.payload_bytes;
-  const bool is_retx = seq_end <= highest_sent;
-  auto [it, inserted] = pending.emplace(seq_end, Outstanding{r.time, is_retx});
-  if (!inserted) {
-    // Same range sent again: taint it and refresh the send time.
-    it->second.tainted = true;
-    it->second.sent_at = r.time;
-  } else if (is_retx) {
-    it->second.tainted = true;
-  }
-  highest_sent = std::max(highest_sent, seq_end);
-  if (is_retx && !ss_closed) {
-    ss_closed = true;
-    ss_end = r.time;
-  }
+  on_segment(r.seq + r.payload_bytes, r.time);
 }
 
 inline void FlowState::Hypothesis::on_ack(const analysis::TraceRecord& r,
@@ -294,8 +300,8 @@ inline void FlowState::Hypothesis::on_ack(const analysis::TraceRecord& r,
       compute_ss_stats(flow_start, ss_end, /*by_retransmission=*/true);
     } else if (r.ack > adv_max) {
       adv_max = r.ack;
-      advances.push_back(analysis::AckAdvance{r.time, r.ack});
-      prune_advances(ss_closed ? ss_end : r.time, flow_start);
+      add_advance(analysis::AckAdvance{r.time, r.ack},
+                  ss_closed ? ss_end : r.time, flow_start);
     }
   }
   // RTT sampler: this ACK may still tie with not-yet-captured data records

@@ -144,6 +144,101 @@ TEST(RttSampling, SamplesAreTimeOrdered) {
   }
 }
 
+// The outstanding window: retransmissions land in sequence order, wherever
+// their boundary falls, and a long slow start keeps every sample exact.
+
+TEST(RttSampling, RetransmissionInsideWindowIsInsertedInOrderAndTainted) {
+  // [101, 151) is resent at 10 ms: 151 is a boundary no original segment
+  // had, between 101 and 201, with 101 already acknowledged.
+  FlowRecords f;
+  for (unsigned i = 0; i < 4; ++i) f.data(i * kMillisecond, 1 + 100 * i, 100);
+  f.ack(5 * kMillisecond, 101);
+  f.data(10 * kMillisecond, 101, 50);  // retransmission, new boundary 151
+  f.ack(10 * kMillisecond, 151);       // newest covered: the resent range
+  f.ack(10 * kMillisecond, 401);       // newest covered: [301, 401)
+  const auto result = f.run();
+  ASSERT_EQ(result.samples.size(), 2u);
+  EXPECT_EQ(result.samples[0].acked_seq, 101u);
+  EXPECT_EQ(result.samples[0].rtt, 5 * kMillisecond);
+  EXPECT_EQ(result.samples[1].acked_seq, 401u);
+  EXPECT_EQ(result.samples[1].rtt, 7 * kMillisecond);
+  EXPECT_TRUE(result.flow.slow_start.ended_by_retransmission);
+  EXPECT_EQ(result.flow.slow_start.end_time, 10 * kMillisecond);
+}
+
+TEST(RttSampling, AckBelowInsertedRetransmissionSamplesLowerSegment) {
+  FlowRecords f;
+  for (unsigned i = 0; i < 4; ++i) f.data(i * kMillisecond, 1 + 100 * i, 100);
+  f.data(10 * kMillisecond, 101, 50);  // retransmission, new boundary 151
+  f.ack(10 * kMillisecond, 120);       // stops below 151: samples [1, 101)
+  f.ack(10 * kMillisecond, 151);       // the resent range: no sample
+  f.ack(10 * kMillisecond, 201);       // [151, 201) was never resent
+  const auto samples = f.run().samples;
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].acked_seq, 101u);
+  EXPECT_EQ(samples[0].rtt, 10 * kMillisecond);
+  EXPECT_EQ(samples[1].acked_seq, 201u);
+  EXPECT_EQ(samples[1].rtt, 9 * kMillisecond);
+}
+
+TEST(RttSampling, RetransmissionBelowWindowFront) {
+  // [1, 51) was already acknowledged when it is resent: it still ends slow
+  // start, and the ACKs that follow sample the outstanding segments.
+  FlowRecords f;
+  for (unsigned i = 0; i < 3; ++i) f.data(i * kMillisecond, 1 + 100 * i, 100);
+  f.ack(20 * kMillisecond, 101);
+  f.data(25 * kMillisecond, 1, 50);  // below the window front
+  f.ack(25 * kMillisecond, 101);     // covers only the resent range
+  f.ack(25 * kMillisecond, 201);
+  f.ack(25 * kMillisecond, 301);
+  const auto result = f.run();
+  ASSERT_EQ(result.samples.size(), 3u);
+  EXPECT_EQ(result.samples[0].acked_seq, 101u);
+  EXPECT_EQ(result.samples[0].rtt, 20 * kMillisecond);
+  EXPECT_EQ(result.samples[1].acked_seq, 201u);
+  EXPECT_EQ(result.samples[1].rtt, 24 * kMillisecond);
+  EXPECT_EQ(result.samples[2].acked_seq, 301u);
+  EXPECT_EQ(result.samples[2].rtt, 23 * kMillisecond);
+  EXPECT_EQ(result.flow.slow_start.end_time, 25 * kMillisecond);
+}
+
+TEST(RttSampling, SameRangeSentTwiceIsTainted) {
+  FlowRecords f;
+  f.data(0, 1, 100);
+  f.data(1 * kMillisecond, 101, 100);
+  f.data(30 * kMillisecond, 101, 100);  // the same range again
+  f.ack(30 * kMillisecond, 101);
+  f.ack(30 * kMillisecond, 201);  // ambiguous: Karn's rule, no sample
+  const auto samples = f.run().samples;
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].acked_seq, 101u);
+  EXPECT_EQ(samples[0].rtt, 30 * kMillisecond);
+}
+
+TEST(RttSampling, LongSlowStartSamplesEverySegmentExactly) {
+  // 10,000 segments, one every 10 us, each odd one acknowledged 5 ms (plus
+  // a few us of jitter) after it was sent: about 500 segments are always
+  // outstanding, so the window's dead prefix is dropped many times.
+  constexpr unsigned kSegments = 10'000;
+  constexpr sim::Duration kGap = 10 * sim::kMicrosecond;
+  const auto rtt_of = [](unsigned k) {
+    return 5 * kMillisecond + (k % 13) * sim::kMicrosecond;
+  };
+  FlowRecords f;
+  for (unsigned i = 0; i < kSegments; ++i) f.data(i * kGap, 1 + 100 * i, 100);
+  for (unsigned k = 0; k < kSegments / 2; ++k) {
+    f.ack((2 * k + 1) * kGap + rtt_of(k), 201 + 200 * k);
+  }
+  f.sort_by_time();
+  const auto result = f.run();
+  EXPECT_FALSE(result.flow.slow_start.ended_by_retransmission);
+  ASSERT_EQ(result.samples.size(), kSegments / 2);
+  for (unsigned k = 0; k < kSegments / 2; ++k) {
+    EXPECT_EQ(result.samples[k].acked_seq, 201u + 200 * k) << k;
+    EXPECT_EQ(result.samples[k].rtt, rtt_of(k)) << k;
+  }
+}
+
 TEST(RttSampling, EmptyFlowNoSamples) {
   const FlowRecords f;
   const auto result = f.run();
