@@ -1,17 +1,15 @@
 #include "pcap/cursor.h"
 
-#include <algorithm>
-#include <cstring>
-
-#include "runtime/parse_error.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define CCSIG_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+
+#include "runtime/parse_error.h"
 
 namespace ccsig::pcap {
 namespace {
@@ -25,7 +23,6 @@ void PcapCursor::fail(std::string reason) const {
 }
 
 bool PcapCursor::try_mmap() {
-#ifdef CCSIG_HAVE_MMAP
   const int fd = ::open(path_.c_str(), O_RDONLY);
   if (fd < 0) return false;
   struct stat st;
@@ -57,17 +54,17 @@ bool PcapCursor::try_mmap() {
   end_ = mmap_len_;  // the window is the whole file
   eof_ = true;
   return true;
-#else
-  return false;
-#endif
 }
 
-PcapCursor::~PcapCursor() {
-#ifdef CCSIG_HAVE_MMAP
+PcapCursor::~PcapCursor() { release(); }
+
+void PcapCursor::release() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
   if (mmap_base_ && mmap_len_ > 0) {
     ::munmap(const_cast<std::uint8_t*>(mmap_base_), mmap_len_);
   }
-#endif
+  mmap_base_ = nullptr;
 }
 
 std::size_t PcapCursor::ensure(std::size_t need) {
@@ -84,10 +81,15 @@ std::size_t PcapCursor::ensure(std::size_t need) {
   // one-time growth; steady state never reallocates.
   if (need > buf_.size()) buf_.resize(need);
   while (!eof_ && end_ - pos_ < need) {
-    in_.read(reinterpret_cast<char*>(buf_.data() + end_),
-             static_cast<std::streamsize>(buf_.size() - end_));
-    end_ += static_cast<std::size_t>(in_.gcount());
-    if (!in_) eof_ = true;
+    const ssize_t n = ::read(fd_, buf_.data() + end_, buf_.size() - end_);
+    if (n > 0) {
+      end_ += static_cast<std::size_t>(n);
+    } else if (n == 0 || errno == EAGAIN || errno == EWOULDBLOCK) {
+      // End of file, or (tail mode) a pipe with nothing to read yet.
+      eof_ = true;
+    } else if (errno != EINTR) {
+      fail(std::string("read failed: ") + std::strerror(errno));
+    }
   }
   return end_ - pos_;
 }
@@ -103,11 +105,18 @@ PcapCursor::PcapCursor(const std::string& path, CursorMode mode, bool tail)
     }
   }
   if (!mmap_base_) {
-    in_.open(path, std::ios::binary);
-    if (!in_) fail("cannot open pcap for reading");
+    // O_NONBLOCK only matters for a named pipe: its open does not wait for
+    // a writer, and a read with nothing buffered returns EAGAIN.
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | (tail_ ? O_NONBLOCK : 0));
+    if (fd_ < 0) fail("cannot open pcap for reading");
     buf_.resize(kChunkBytes);
   }
-  if (!parse_file_header()) incomplete_tail_ = true;
+  try {
+    if (!parse_file_header()) incomplete_tail_ = true;
+  } catch (...) {
+    release();  // no destructor runs for a constructor that throws
+    throw;
+  }
 }
 
 bool PcapCursor::parse_file_header() {
@@ -132,10 +141,9 @@ bool PcapCursor::parse_file_header() {
 std::optional<RecordView> PcapCursor::next_slow() {
   if (tail_) {
     incomplete_tail_ = false;
-    // Clear the eof/failbit state a short read left, so ensure() reads
-    // the (possibly grown) file again.
+    // Forget the end a short read found, so ensure() reads the (possibly
+    // grown) file again.
     eof_ = false;
-    in_.clear();
     if (!header_ready_ && !parse_file_header()) {
       incomplete_tail_ = true;
       return std::nullopt;

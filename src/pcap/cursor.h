@@ -3,14 +3,17 @@
 // each record, so a single-pass engine reads any capture in O(buffer)
 // memory:
 //
-//   kStream — refills one reusable buffer with large sequential reads:
-//             no per-record allocation, O(buffer) memory regardless of
-//             capture size. Works on anything std::ifstream can read.
+//   kStream — refills one reusable buffer with large read(2) calls on a
+//             raw descriptor: no per-record allocation, O(buffer) memory
+//             regardless of capture size. Works on anything open(2) can
+//             read, named pipes included (tail mode reads them
+//             nonblocking, see below).
 //   kMmap   — maps the whole file read-only and walks the mapping: no
 //             read syscalls, no copies at all; the kernel pages data in
 //             as the cursor advances (madvise SEQUENTIAL). Views stay
 //             valid until the cursor is destroyed.
-//   kAuto   — kMmap when the platform and file support it, else kStream.
+//   kAuto   — kMmap when the file supports it (a regular file), else
+//             kStream.
 //
 // Both backends run the *same* code over the same windowed representation
 // — only the refill step differs. next() is one record loop in two parts:
@@ -25,7 +28,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <span>
 #include <string>
@@ -69,7 +71,9 @@ class PcapCursor {
   /// resuming exactly where the partial record starts once the writer has
   /// appended the rest. Genuine corruption (bad magic, absurd incl_len)
   /// still throws. Tail mode always uses the buffered kStream backend
-  /// (a fixed-size mapping cannot see appended bytes).
+  /// (a fixed-size mapping cannot see appended bytes) and opens the file
+  /// O_NONBLOCK, so a named pipe with nothing to read (EAGAIN) is the same
+  /// caught-up state as a regular file's EOF.
   explicit PcapCursor(const std::string& path,
                       CursorMode mode = CursorMode::kStream,
                       bool tail = false);
@@ -132,6 +136,10 @@ class PcapCursor {
   }
   std::uint32_t linktype() const { return linktype_; }
 
+  /// The kStream backend's read descriptor (-1 in kMmap mode): what a
+  /// caller waits on for readiness when the capture is a named pipe.
+  int fd() const { return fd_; }
+
   /// The backend actually in use (kAuto resolves at construction).
   CursorMode mode() const { return mmap_base_ ? CursorMode::kMmap
                                               : CursorMode::kStream; }
@@ -141,6 +149,9 @@ class PcapCursor {
 
  private:
   [[noreturn]] void fail(std::string reason) const;
+
+  /// Closes the descriptor and unmaps the file.
+  void release();
 
   /// next()'s out-of-line part: refills the window and validates,
   /// producing every error, incomplete tail and end of file. A record it
@@ -158,7 +169,7 @@ class PcapCursor {
   std::size_t ensure(std::size_t need);
 
   /// Tries to map the file; returns false (leaving the cursor in kStream
-  /// state) when the platform or the file does not support it.
+  /// state) when the file is not a mappable regular file.
   bool try_mmap();
 
   const std::uint8_t* window() const {
@@ -166,7 +177,7 @@ class PcapCursor {
   }
 
   std::string path_;
-  std::ifstream in_;
+  int fd_ = -1;  // kStream backend only
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;   // first unconsumed byte in the window
   std::size_t end_ = 0;   // one past the last valid byte in the window

@@ -69,6 +69,12 @@ void LineServer::accept_pending() {
   }
 }
 
+void LineServer::poll_fds(std::vector<pollfd>& out) const {
+  out.push_back({listen_fd_, POLLIN, 0});
+  if (!handler_) return;
+  for (const Client& c : clients_) out.push_back({c.fd, POLLIN, 0});
+}
+
 void LineServer::reap(std::size_t i) {
   ::close(clients_[i].fd);
   clients_[i] = std::move(clients_.back());

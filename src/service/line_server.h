@@ -20,6 +20,8 @@
 // bound is disconnected rather than blocking the daemon.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -48,6 +50,11 @@ class LineServer {
   /// Accepts any pending connections (nonblocking; call once per service
   /// iteration).
   void accept_pending();
+
+  /// Appends the descriptors whose readability means work for this
+  /// server: the listen socket, and in query mode every client (a query
+  /// or a hang-up to reap). Broadcast subscribers never send.
+  void poll_fds(std::vector<pollfd>& out) const;
 
   /// Sends `line` + '\n' to every subscriber. Slow subscribers drop the
   /// line; dead ones are closed and removed.

@@ -10,6 +10,14 @@
 #include "runtime/shutdown.h"
 
 namespace ccsig::service {
+namespace {
+
+// Longest idle wait. Tail files, backoff deadlines, window ticks, metrics
+// lines and thread-side stop/reload have no descriptor to wait on; this
+// bound is how soon they are noticed.
+constexpr int kIdleWaitMs = 1;
+
+}  // namespace
 
 ClassificationService::ClassificationService(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
@@ -154,6 +162,7 @@ void ClassificationService::run_live(stream::StreamEngine& engine) {
     serve_sockets();
 
     bool any = false;
+    bool paused = false;
     for (auto& src : sources_) {
       // Re-evaluate the ladder before every source: pushes from the
       // previous source may have raised the pressure past the next rung.
@@ -171,6 +180,7 @@ void ClassificationService::run_live(stream::StreamEngine& engine) {
       if (act == ShedAction::kPauseSources) {
         ++stats_.shed_source_pauses;
         pauses_ctr_.inc();
+        paused = true;
         break;  // stop reading entirely this iteration
       }
       if (act == ShedAction::kForceEvict) {
@@ -210,11 +220,22 @@ void ClassificationService::run_live(stream::StreamEngine& engine) {
       }
       if (all_terminal) break;
     }
-    if (!any && ready.empty() && cfg_.idle_sleep_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(cfg_.idle_sleep_ms));
+    if (!any && ready.empty()) wait_idle(paused);
+  }
+}
+
+void ClassificationService::wait_idle(bool paused) {
+  wait_fds_.clear();
+  if (!paused) {
+    for (const auto& src : sources_) {
+      const int fd = src->poll_fd();
+      if (fd >= 0) wait_fds_.push_back({fd, POLLIN, 0});
     }
   }
+  if (server_) server_->poll_fds(wait_fds_);
+  if (admin_) admin_->poll_fds(wait_fds_);
+  // EINTR (a signal) just ends the wait early; the loop re-checks it all.
+  ::poll(wait_fds_.data(), wait_fds_.size(), kIdleWaitMs);
 }
 
 void ClassificationService::run_replay(stream::StreamEngine& engine) {

@@ -5,9 +5,12 @@
 // (optionally recording them to a session file), drain deterministic
 // verdict emissions, classify each with the hot-swappable model, and fan
 // the rendered lines out to the crash-safe verdict log and the optional
-// Unix-socket subscribers. Signals arrive through runtime::ShutdownLatch
-// (SIGTERM/SIGINT drain, SIGHUP reloads the model); in-process tests use
-// request_stop()/request_reload() instead.
+// Unix-socket subscribers. An iteration that found no work waits in one
+// poll(2) on the named-pipe sources and the sockets; its 1 ms timeout is
+// what notices tail-file growth, backoff deadlines, ticks and the
+// stop/reload flags. Signals arrive through runtime::ShutdownLatch
+// (SIGTERM/SIGINT drain, SIGHUP reloads the model, both ending the wait
+// early); in-process tests use request_stop()/request_reload() instead.
 //
 // The robustness contract, end to end:
 //   - a failing source backs off, retries, and is quarantined on permanent
@@ -23,6 +26,8 @@
 //     the control thread at emission time); an unparseable model is
 //     rejected and the old one keeps serving.
 #pragma once
+
+#include <poll.h>
 
 #include <atomic>
 #include <cstdint>
@@ -92,8 +97,6 @@ struct ServiceConfig {
   int replay_pace_us = 0;
   /// Per-source records pulled per loop iteration.
   std::size_t poll_records = 512;
-  /// Idle sleep when no source produced anything.
-  int idle_sleep_ms = 1;
   /// Emit a metrics line (socket + event log) this often; 0 disables.
   int metrics_interval_ms = 0;
   runtime::RetryPolicy source_retry = default_source_retry();
@@ -157,6 +160,9 @@ class ClassificationService {
   void run_replay(stream::StreamEngine& engine);
   void drain(stream::StreamEngine& engine);
   void serve_sockets();
+  /// Blocks until a named pipe or socket is readable or 1 ms passes;
+  /// `paused` leaves the sources out (the shed ladder stopped reading).
+  void wait_idle(bool paused);
   void push_stamped(stream::StreamEngine& engine,
                     std::vector<stream::RoutedRecord>& batch);
   void drain_ready(stream::StreamEngine& engine,
@@ -193,6 +199,7 @@ class ClassificationService {
   std::unique_ptr<LineServer> admin_;
   std::vector<std::unique_ptr<CaptureSource>> sources_;
   std::vector<SourceState> last_states_;
+  std::vector<pollfd> wait_fds_;  // wait_idle()'s set, reused
   std::size_t evict_rr_ = 0;  // round-robin shard for force-evicts
   ShedAction last_action_ = ShedAction::kNone;
   std::chrono::steady_clock::time_point start_{};

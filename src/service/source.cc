@@ -31,29 +31,43 @@ CaptureSource::CaptureSource(SourceConfig cfg, runtime::RetryPolicy retry,
       retry_(std::move(retry)),
       faults_(faults),
       fault_key_(fault_key),
-      events_(events) {
-  if (cfg_.fifo && cfg_.spool_path.empty()) {
-    cfg_.spool_path = cfg_.path + ".spool";
-  }
-}
+      events_(events) {}
 
-CaptureSource::~CaptureSource() {
-  if (fifo_fd_ >= 0) ::close(fifo_fd_);
-  if (spool_fd_ >= 0) ::close(spool_fd_);
+CaptureSource::~CaptureSource() { close_ingest(); }
+
+int CaptureSource::poll_fd() const {
+  if (pipe_writer_fd_ < 0 || state_ == SourceState::kBackoff) return -1;
+  return ingest_->cursor().fd();
 }
 
 void CaptureSource::open_ingest() {
-  const std::string& capture = cfg_.fifo ? cfg_.spool_path : cfg_.path;
   struct stat st;
-  if (::stat(capture.c_str(), &st) != 0) {
+  if (::stat(cfg_.path.c_str(), &st) != 0) {
     // Not there (yet): a daemon source may be created after startup or
     // vanish briefly during rotation. Retryable, not capture damage.
-    throw runtime::TransientError("source not present: " + capture);
+    throw runtime::TransientError("source not present: " + cfg_.path);
   }
-  const bool tail = !cfg_.oneshot;
+  const bool tail = cfg_.fifo || !cfg_.oneshot;
   ingest_ = std::make_unique<stream::BatchedIngest>(
-      capture, pcap::CursorMode::kStream, tail);
+      cfg_.path, pcap::CursorMode::kStream, tail);
   open_ino_ = static_cast<std::uint64_t>(st.st_ino);
+  if (cfg_.fifo && S_ISFIFO(st.st_mode)) {
+    // Only a tailed --fifo source holds a write end: a oneshot source on a
+    // pipe must still see end of file once its writer closes. The read end
+    // is open, so this nonblocking open cannot fail with ENXIO; holding it
+    // keeps the pipe from hanging up between writers.
+    pipe_writer_fd_ = ::open(cfg_.path.c_str(), O_WRONLY | O_NONBLOCK |
+                                                    O_CLOEXEC);
+    if (pipe_writer_fd_ < 0) {
+      throw std::runtime_error("fifo: cannot open " + cfg_.path +
+                               " for writing: " + std::strerror(errno));
+    }
+#ifdef F_SETPIPE_SZ
+    // 1 MiB instead of the default 64 KiB lets a bursty writer run ahead
+    // of the control loop (best effort: capped at fs.pipe-max-size).
+    ::fcntl(pipe_writer_fd_, F_SETPIPE_SZ, 1 << 20);
+#endif
+  }
   if (events_) {
     events_->log("source_open", {{"source", cfg_.path},
                                  {"mode", cfg_.fifo ? "fifo"
@@ -62,50 +76,10 @@ void CaptureSource::open_ingest() {
   }
 }
 
-void CaptureSource::pump_fifo() {
-  if (spool_fd_ < 0) {
-    spool_fd_ = ::open(cfg_.spool_path.c_str(),
-                       O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
-    if (spool_fd_ < 0) {
-      throw std::runtime_error("fifo spool: cannot create " +
-                               cfg_.spool_path + ": " + std::strerror(errno));
-    }
-  }
-  if (fifo_fd_ < 0) {
-    // O_NONBLOCK makes the open succeed with no writer attached yet.
-    fifo_fd_ = ::open(cfg_.path.c_str(), O_RDONLY | O_NONBLOCK);
-    if (fifo_fd_ < 0) {
-      if (errno == ENOENT) {
-        throw runtime::TransientError("fifo not present: " + cfg_.path);
-      }
-      throw std::runtime_error("fifo: cannot open " + cfg_.path + ": " +
-                               std::strerror(errno));
-    }
-  }
-  if (pipe_buf_.empty()) pipe_buf_.resize(64 * 1024);
-  for (;;) {
-    const ssize_t n = ::read(fifo_fd_, pipe_buf_.data(), pipe_buf_.size());
-    if (n > 0) {
-      const std::uint8_t* p = pipe_buf_.data();
-      std::size_t left = static_cast<std::size_t>(n);
-      while (left > 0) {
-        const ssize_t wrote = ::write(spool_fd_, p, left);
-        if (wrote < 0) {
-          if (errno == EINTR) continue;
-          throw std::runtime_error("fifo spool: write failed: " +
-                                   std::string(std::strerror(errno)));
-        }
-        p += wrote;
-        left -= static_cast<std::size_t>(wrote);
-      }
-      continue;
-    }
-    if (n == 0) break;  // every writer closed; a future writer may reopen
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;  // pipe drained
-    if (errno == EINTR) continue;
-    throw runtime::TransientError("fifo read failed: " +
-                                  std::string(std::strerror(errno)));
-  }
+void CaptureSource::close_ingest() {
+  ingest_.reset();
+  if (pipe_writer_fd_ >= 0) ::close(pipe_writer_fd_);
+  pipe_writer_fd_ = -1;
 }
 
 void CaptureSource::check_rotation() {
@@ -113,7 +87,7 @@ void CaptureSource::check_rotation() {
   if (::stat(cfg_.path.c_str(), &st) != 0) {
     // The tailed file vanished mid-run; treat as transient and let the
     // retry path reopen whatever replaces it.
-    ingest_.reset();
+    close_ingest();
     throw runtime::TransientError("tailed source vanished: " + cfg_.path);
   }
   const bool rotated =
@@ -121,14 +95,14 @@ void CaptureSource::check_rotation() {
       static_cast<std::uint64_t>(st.st_size) < ingest_->cursor().offset();
   if (rotated) {
     if (events_) events_->log("source_rotated", {{"source", cfg_.path}});
-    ingest_.reset();
+    close_ingest();
     open_ingest();
   }
 }
 
 void CaptureSource::quarantine(const std::string& reason) {
   state_ = SourceState::kQuarantined;
-  ingest_.reset();
+  close_ingest();
   if (events_) {
     events_->log("source_quarantined",
                  {{"source", cfg_.path},
@@ -163,7 +137,6 @@ std::size_t CaptureSource::poll(std::vector<stream::RoutedRecord>& out,
     // TransientError models recoverable I/O hiccups, runtime_error models
     // unrecoverable source damage.
     if (faults_ && faults_->armed()) faults_->maybe_fault(fault_key_, attempt_);
-    if (cfg_.fifo) pump_fifo();
     if (ingest_ && !cfg_.fifo && !cfg_.oneshot) check_rotation();
     if (!ingest_) open_ingest();
     const std::size_t got = ingest_->fill(out, max_records);

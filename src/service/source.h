@@ -21,11 +21,17 @@
 // stops being polled, its partial clean prefix has already been delivered,
 // and the daemon keeps serving every other source.
 //
-// Named pipes are fed through a spool file: poll() moves whatever bytes
-// the pipe has (nonblocking reads) into the spool, and a tail-mode
-// BatchedIngest follows the spool exactly like a growing capture file.
-// This reuses the incomplete-tail cursor machinery — a frame half-written
-// into the pipe is just a spool tail that has not grown yet.
+// A fifo source's named pipe is read in place: the source opens a
+// tail-mode BatchedIngest directly on the FIFO (nonblocking, so an empty
+// pipe is the same caught-up state as a tail file's EOF) and a frame
+// half-written into the pipe is an incomplete tail like any other. The
+// source also holds one write end of its own FIFO, so the pipe never
+// reports hang-up between writer sessions: a writer may close and a new
+// one attach, and a reader waiting on poll_fd() sleeps instead of spinning
+// on POLLHUP. A failing read(2) on the pipe is reported by the cursor as a
+// ParseException and so quarantines the source. A oneshot source whose
+// path is a pipe (say /dev/stdin) holds no write end: it reads until its
+// writer closes, as for a file.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +61,11 @@ const char* to_string(SourceState s);
 
 struct SourceConfig {
   std::string path;
-  /// The path is a named pipe carrying pcap bytes (spooled, see above).
+  /// The path is a named pipe carrying pcap bytes (read in place, see
+  /// above; always tailed).
   bool fifo = false;
   /// Read the capture once to EOF and finish, instead of tailing it.
   bool oneshot = false;
-  /// Spool file for fifo sources; empty = `path` + ".spool".
-  std::string spool_path;
 };
 
 class CaptureSource {
@@ -89,12 +94,16 @@ class CaptureSource {
            state_ == SourceState::kFinished;
   }
   const std::string& name() const { return cfg_.path; }
+  /// The descriptor to wait on for new bytes: an open fifo source's read
+  /// end, or -1 (a regular file always polls readable, and a source in
+  /// backoff must not wake its reader early).
+  int poll_fd() const;
   std::uint64_t records_delivered() const { return delivered_; }
   int attempts() const { return attempt_; }
 
  private:
   void open_ingest();
-  void pump_fifo();
+  void close_ingest();
   void check_rotation();
   void quarantine(const std::string& reason);
   void enter_backoff(const std::string& reason);
@@ -114,10 +123,8 @@ class CaptureSource {
   // Tail-file rotation detection (inode change / shrink = new capture).
   std::uint64_t open_ino_ = 0;
 
-  // Fifo spooling.
-  int fifo_fd_ = -1;
-  int spool_fd_ = -1;
-  std::vector<std::uint8_t> pipe_buf_;
+  // The source's own write end of its named pipe (-1 for a regular file).
+  int pipe_writer_fd_ = -1;
 };
 
 }  // namespace ccsig::service

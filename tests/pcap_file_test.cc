@@ -61,6 +61,17 @@ class PcapFileTest : public ::testing::Test {
 
 int PcapFileTest::counter_ = 0;
 
+/// Descriptors this process holds open.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
 TEST_F(PcapFileTest, WriteReadRoundTrip) {
   {
     PcapWriter writer(path_);
@@ -118,12 +129,15 @@ TEST_F(PcapFileTest, RejectsBadMagic) {
     const char junk[32] = "not a pcap file at all";
     out.write(junk, sizeof(junk));
   }
+  const std::size_t fds_before = open_fds();
   for (const CursorMode mode : {CursorMode::kStream, CursorMode::kMmap}) {
     const auto e = read_error(mode);
     EXPECT_EQ(e.file, path_);
     EXPECT_EQ(e.offset, 0u);
     EXPECT_EQ(e.reason, "not a (little-endian, µs) pcap file: bad magic");
   }
+  // A constructor that throws releases what it opened.
+  EXPECT_EQ(open_fds(), fds_before);
 }
 
 TEST_F(PcapFileTest, RejectsTruncatedFileHeader) {

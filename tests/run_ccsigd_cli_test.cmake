@@ -2,7 +2,8 @@
 #   - every numeric flag rejects negative, non-numeric, trailing-garbage and
 #     out-of-range values with exit 2 (no silent atoi);
 #   - --poll-records 0 is a usage error (a poll of nothing never finishes a
-#     oneshot source);
+#     oneshot source), and so is one above 1048576 (the batch is reserved
+#     up front; a huge value must not end in bad_alloc, exit 4);
 #   - --shards above StreamConfig::kMaxShards (1024) and --window-slots
 #     above 3600 are usage errors, not up-front allocations that abort;
 #   - a valid oneshot run drains, logs its verdicts and exits 0.
@@ -40,6 +41,10 @@ foreach(flag --window-tick-ms --window-slots --replay-pace-us --jobs --shards
   expect_exit(0 ${flag} 1)
 endforeach()
 expect_exit(2 --poll-records 0)
+foreach(too_many 1048577 1000000000000 18446744073709551615)
+  expect_exit(2 --poll-records ${too_many})
+endforeach()
+expect_exit(0 --poll-records 1048576)
 foreach(too_many 1025 100000000 4294967295)
   expect_exit(2 --shards ${too_many})
 endforeach()

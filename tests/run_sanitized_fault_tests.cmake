@@ -30,6 +30,7 @@ set(tests
   pcap_tail_test
   service_fault_test
   service_admin_test
+  service_fifo_test
   obs_window_test
 )
 

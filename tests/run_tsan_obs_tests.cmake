@@ -4,7 +4,7 @@
 # is unsanitized), so a plain `ctest` also proves the metrics shards, the
 # window aggregator fed from the service loop, the admin socket answer
 # path, the service tests that drive a daemon thread from the test
-# thread (hot reload, stop), and the parallel_map runner with the
+# thread (hot reload, stop, a FIFO writer), and the parallel_map runner with the
 # supervised retry loop on top of it are race-free under -fsanitize=thread.
 #
 # Invoked as:
@@ -24,6 +24,7 @@ set(tests
   runtime_supervised_test
   service_admin_test
   service_fault_test
+  service_fifo_test
   service_test
 )
 

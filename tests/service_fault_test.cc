@@ -46,7 +46,6 @@ class ServiceFaultTest : public ::testing::Test {
     ServiceConfig cfg;
     cfg.verdict_log_path = dir_ + "/" + log_name;
     cfg.oneshot = true;
-    cfg.idle_sleep_ms = 0;
     cfg.source_retry.max_attempts = 3;
     cfg.source_retry.backoff = std::chrono::milliseconds(1);
     return cfg;

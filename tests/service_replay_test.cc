@@ -54,7 +54,6 @@ class ServiceReplayTest : public ::testing::Test {
     cfg.verdict_log_path = live_log_;
     cfg.record_session_path = session_;
     cfg.oneshot = true;
-    cfg.idle_sleep_ms = 0;
     ClassificationService live(std::move(cfg));
     ASSERT_EQ(live.run(), ClassificationService::kExitOk);
     live_bytes_ = read_bytes(live_log_);

@@ -66,7 +66,6 @@ class ServiceTest : public ::testing::Test {
     cfg.sources.push_back(sc);
     cfg.verdict_log_path = dir_ + "/" + log_name;
     cfg.oneshot = true;
-    cfg.idle_sleep_ms = 0;
     cfg.stream.jobs = jobs;
     return cfg;
   }

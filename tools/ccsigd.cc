@@ -10,13 +10,14 @@
 //          [--poll-records N] [--metrics-interval-ms N] [--oneshot]
 //          [--quiet]
 //
-// Tails every --source pcap file past EOF (surviving rotation), spools
-// every --fifo named pipe, classifies each finished flow with the loaded
-// model, and appends one framed verdict line per flow to --log — an
-// append-only, CRC-framed file that survives SIGKILL with at most a torn
-// tail (truncated and resumed on restart). --socket serves the verdicts
-// and periodic metrics lines to live subscribers over a Unix-domain
-// stream socket (lossy; the log is the durable record). --record writes
+// Tails every --source pcap file past EOF (surviving rotation), reads
+// every --fifo named pipe in place (waking when it turns readable),
+// classifies each finished flow with the loaded model, and appends one
+// framed verdict line per flow to --log — an append-only, CRC-framed
+// file that survives SIGKILL with at most a torn tail (truncated and
+// resumed on restart). --socket serves the verdicts and periodic metrics
+// lines to live subscribers over a Unix-domain stream socket (lossy; the
+// log is the durable record). --record writes
 // the exact pushed-record session for later --replay, which regenerates a
 // byte-identical verdict log at any --jobs. --admin-socket serves the
 // live introspection plane on a second Unix socket: one-line queries
@@ -34,8 +35,9 @@
 //                      restart + --replay resumes byte-identically.
 //
 // Numeric flags take non-negative decimal values (--idle-timeout: seconds)
-// and reject anything else with exit 2: --poll-records must be at least 1,
-// --shards at most StreamConfig::kMaxShards, --window-slots at most 3600.
+// and reject anything else with exit 2: --poll-records must be 1 to
+// 1048576, --shards at most StreamConfig::kMaxShards, --window-slots at
+// most 3600.
 //
 // Exit codes: 0 clean drain, 2 usage error, 3 unreadable log/model/
 // session, 4 internal error.
@@ -49,6 +51,9 @@
 #include "service/service.h"
 
 namespace {
+
+// --poll-records ceiling: the record batch is reserved up front.
+constexpr std::size_t kMaxPollRecords = std::size_t{1} << 20;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -131,8 +136,10 @@ int main(int argc, char** argv) {
       if (!parse_seconds(argv[++i], secs)) return bad();
       cfg.stream.idle_timeout = ccsig::sim::from_seconds(secs);
     } else if (std::strcmp(flag, "--poll-records") == 0 && has_value) {
-      // 0 would poll nothing, forever.
-      if (!parse_count(argv[++i], cfg.poll_records, std::size_t{1})) {
+      // 0 would poll nothing, forever; the batch is reserved up front, so
+      // the top is bounded too.
+      if (!parse_count(argv[++i], cfg.poll_records, std::size_t{1},
+                       kMaxPollRecords)) {
         return bad();
       }
     } else if (std::strcmp(flag, "--metrics-interval-ms") == 0 && has_value) {
